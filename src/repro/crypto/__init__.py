@@ -1,9 +1,11 @@
 """From-scratch cryptography used across the reproduction.
 
-Implements exactly what TSR and its substrates need, with no external
-crypto dependency:
+Implements exactly what TSR and its substrates need, with no third-party
+crypto package:
 
 * SHA-256 digests (stdlib ``hashlib`` as the primitive),
+* modular exponentiation from the OpenSSL ``libcrypto`` that ``hashlib``
+  already loads, bound through ``ctypes`` (:mod:`repro.crypto.bignum`),
 * RSA key generation (Miller-Rabin), signing and verification using
   PKCS#1 v1.5 with SHA-256 — matching Alpine's 256-byte ``.rsa.pub``
   signatures the paper relies on,

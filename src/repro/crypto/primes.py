@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import random
 
+from repro.crypto.bignum import powmod
+
 _SMALL_PRIMES = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
     71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
@@ -38,7 +40,7 @@ def is_probable_prime(candidate: int, rng: random.Random | None = None) -> bool:
         r += 1
     for _ in range(MILLER_RABIN_ROUNDS):
         witness = rng.randrange(2, candidate - 1)
-        x = pow(witness, d, candidate)
+        x = powmod(witness, d, candidate)
         if x in (1, candidate - 1):
             continue
         for _ in range(r - 1):

@@ -2,7 +2,8 @@
 
 This mirrors what Alpine Linux's ``abuild-sign`` produces: RSA keys whose
 SHA-256 PKCS#1 v1.5 signatures are ``modulus_size`` bytes long (256 bytes for
-RSA-2048).  Signing uses the CRT optimization; verification is a single
+RSA-2048).  Signing uses the CRT optimization with OpenSSL's modular
+exponentiation (:mod:`repro.crypto.bignum`); verification is a single
 public-exponent exponentiation.
 
 Keys serialize to a PEM-like container (see :mod:`repro.crypto.pem`) so that
@@ -15,6 +16,7 @@ import random
 from dataclasses import dataclass
 from time import perf_counter
 
+from repro.crypto.bignum import powmod
 from repro.crypto.hashes import SHA256_DIGEST_SIZE, sha256_bytes
 from repro.crypto.pem import pem_decode, pem_encode
 from repro.crypto.primes import generate_prime
@@ -172,10 +174,11 @@ class RsaPrivateKey:
         started = perf_counter()
         em = _emsa_prefix(self.size_bytes) + digest
         m = _os2ip(em)
-        # CRT: two half-size exponentiations instead of one full-size.
+        # CRT: two half-size exponentiations instead of one full-size, both
+        # native (OpenSSL); the self-check below verifies with builtin pow.
         dp, dq, q_inv = self._crt_params()
-        m1 = pow(m, dp, self.p)
-        m2 = pow(m, dq, self.q)
+        m1 = powmod(m, dp, self.p)
+        m2 = powmod(m, dq, self.q)
         h = (q_inv * (m1 - m2)) % self.p
         s = m2 + h * self.q
         signature = _i2osp(s, self.size_bytes)

@@ -9,6 +9,11 @@ from repro.crypto.rsa import generate_keypair
 TEST_KEY_BITS = 1024
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: end-to-end runs of the shipped example scripts")
+
+
 @pytest.fixture(scope="session")
 def rsa_key():
     """A deterministic session-wide RSA key for signature tests."""

@@ -249,7 +249,7 @@ class TestAdversarialSync:
         scenario.tsr.record_publication(scenario.repo_id, 0.0)
         replica = ReplicaTSR("edge-00.example", scenario.tsr,
                              sync_cadence=1.0)
-        replica.sync_from_primary(at=scenario.clock.now() + 0.1)
+        replica.sync_from_primary(at=scenario.clock.now())
         return scenario, replica
 
     def test_tampered_sync_envelope_never_adopted(self):
