@@ -19,14 +19,14 @@ paper describes under Figure 3.
 from __future__ import annotations
 
 import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from time import perf_counter
 
 from repro.archive.gz import (
     gzip_compress_cached,
     gzip_compress_cached_with_cost,
-    gzip_decompress,
-    split_gzip_streams,
+    inflate_gzip_streams,
 )
 from repro.archive.tar import TarEntry, read_tar, write_tar
 from repro.crypto.hashes import sha256_bytes, sha256_hex
@@ -209,9 +209,10 @@ class ApkPackage:
     @classmethod
     def parse(cls, blob: bytes) -> "ParsedApk":
         """Split an apk into its segments and decode metadata."""
-        segments = split_gzip_streams(blob, expected=3)
-        signature_entries = read_tar(gzip_decompress(segments[0]))
-        control_entries = read_tar(gzip_decompress(segments[1]))
+        (_, signature_tar), (control_gz, control_tar), (data_gz, data_tar) = (
+            inflate_gzip_streams(blob, expected=3))
+        signature_entries = read_tar(signature_tar)
+        control_entries = read_tar(control_tar)
         signature = None
         signer_name = None
         for entry in signature_entries:
@@ -233,7 +234,7 @@ class ApkPackage:
         if pkginfo is None:
             raise PackagingError("apk control segment missing .PKGINFO")
         meta = _parse_pkginfo(pkginfo)
-        data_entries = read_tar(gzip_decompress(segments[2]))
+        data_entries = read_tar(data_tar)
         files = []
         for entry in data_entries:
             if not entry.is_file:
@@ -258,8 +259,8 @@ class ApkPackage:
             package=package,
             signature=signature,
             signer_name=signer_name,
-            control_gz=segments[1],
-            data_gz=segments[2],
+            control_gz=control_gz,
+            data_gz=data_gz,
             datahash=meta["datahash"],
         )
 
@@ -311,46 +312,64 @@ class ParsedApk:
         return signer, cost
 
 
-# -- host-pool parse memo and batch entry points ------------------------------
+# -- parse memo and host-pool batch entry points ------------------------------
 #
-# Parsing is a pure function of the blob, so worker processes can parse
-# ahead of the timeline.  The memo is installed *exclusively* from pool
-# results: in a serial (REPRO_WORKERS=0) process it stays permanently
-# empty, every lookup misses, and `parse_apk_cached_with_cost` is exactly
-# ``ApkPackage.parse`` plus a wall-clock measurement — the literal
-# pre-pool behavior.
+# Parsing is a pure function of the blob.  Every client of a pull wave
+# downloads the same sanitized bytes, so one process-wide table holds each
+# recent parse once: every caller fills it on a miss, and host-pool
+# workers, which parse ahead of the timeline, seed it with their results.
+# Entries are ``(parsed, measured parse seconds)``; a hit returns the cost
+# the original parse measured, so enclave-time models can charge it as
+# fresh work.  Parsed objects are shared: no consumer may mutate them (each
+# still runs its own ``ParsedApk.verify`` against its own trusted keys).
+# The table is a bounded LRU: a hit moves its entry to the end, an insert
+# past the limit evicts the least recently used entry.
 
-_PARSE_MEMO: dict[tuple[str, int], tuple["ParsedApk", float]] = {}
-_PARSE_MEMO_LIMIT = 512
+_PARSE_MEMO: OrderedDict[tuple[str, int], tuple["ParsedApk", float]] = (
+    OrderedDict())
+_PARSE_MEMO_LIMIT = 64
 
 
 def clear_parse_memo() -> None:
     _PARSE_MEMO.clear()
 
 
+def _parse_memo_put(key: tuple[str, int],
+                    entry: tuple["ParsedApk", float]) -> None:
+    _PARSE_MEMO[key] = entry
+    if len(_PARSE_MEMO) > _PARSE_MEMO_LIMIT:
+        _PARSE_MEMO.popitem(last=False)
+
+
 def seed_parse_entry(key: tuple[str, int], parsed: "ParsedApk",
                      cost: float) -> None:
+    """Install a worker-computed parse (host pool).  Never overwrites: the
+    first computation's recorded cost wins."""
     if key not in _PARSE_MEMO:
-        if len(_PARSE_MEMO) >= _PARSE_MEMO_LIMIT:
-            _PARSE_MEMO.clear()
-        _PARSE_MEMO[key] = (parsed, cost)
+        _parse_memo_put(key, (parsed, cost))
 
 
 def parse_apk_cached_with_cost(blob: bytes,
                                digest: str | None = None
                                ) -> tuple["ParsedApk", float]:
-    """Pool-warmed parse: returns ``(parsed, host_seconds)`` where the
-    cost is what the parse measured wherever it actually ran.  Callers
-    that already hold the blob's hex digest pass it to skip rehashing."""
-    if _PARSE_MEMO:
-        if digest is None:
-            digest = sha256_hex(blob)
-        hit = _PARSE_MEMO.get((digest, len(blob)))
-        if hit is not None:
-            return hit
+    """Memoized :meth:`ApkPackage.parse`: returns ``(parsed,
+    host_seconds)`` where the cost is what the parse measured wherever it
+    actually ran.  The memo keys on ``(sha256 hex, len(blob))``.  A caller
+    passing ``digest`` must just have computed it over ``blob`` or pinned
+    ``blob`` against it (the index hash check); otherwise the blob is
+    hashed here.  Parse failures propagate and are not cached."""
+    if digest is None:
+        digest = sha256_hex(blob)
+    key = (digest, len(blob))
+    hit = _PARSE_MEMO.get(key)
+    if hit is not None:
+        _PARSE_MEMO.move_to_end(key)
+        return hit
     started = perf_counter()
     parsed = ApkPackage.parse(blob)
-    return parsed, perf_counter() - started
+    hit = (parsed, perf_counter() - started)
+    _parse_memo_put(key, hit)
+    return hit
 
 
 def parse_kernel(blob: bytes, trusted_keys: tuple[RsaPublicKey, ...]

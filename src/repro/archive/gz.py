@@ -89,45 +89,66 @@ def clear_compress_memo() -> None:
     _COMPRESS_MEMO.clear()
 
 
-def gzip_decompress(data: bytes) -> bytes:
-    """Decompress a single gzip stream; rejects trailing garbage."""
-    decompressor = zlib.decompressobj(wbits=31)
-    try:
-        out = decompressor.decompress(data)
-        out += decompressor.flush()
-    except zlib.error as exc:
-        raise PackagingError(f"corrupt gzip stream: {exc}") from exc
-    if decompressor.unused_data:
-        raise PackagingError("trailing data after gzip stream")
-    return out
+def gzip_decompress(data: bytes, *, concatenated: bool = False):
+    """Inflate gzip ``data``.
 
-
-def split_gzip_streams(data: bytes, expected: int | None = None) -> list[bytes]:
-    """Split concatenated gzip streams into their compressed byte ranges.
-
-    Returns the raw *compressed* bytes of each stream (the apk signature is
-    issued over the compressed control segment, so byte ranges matter).
+    By default ``data`` is exactly one gzip stream (trailing garbage is
+    rejected) and the result is its inflated bytes.  With
+    ``concatenated=True`` it is a run of concatenated streams, each
+    inflated exactly once, and the result lists ``(compressed, inflated)``
+    per stream (:func:`inflate_gzip_streams`).  Both shapes share this one
+    entry point so that host-time attribution of inflation, which wraps it
+    (``tsrbench/layers.py``), sees every inflate.
     """
+    if not concatenated:
+        decompressor = zlib.decompressobj(wbits=31)
+        try:
+            out = decompressor.decompress(data)
+            out += decompressor.flush()
+        except zlib.error as exc:
+            raise PackagingError(f"corrupt gzip stream: {exc}") from exc
+        if decompressor.unused_data:
+            raise PackagingError("trailing data after gzip stream")
+        return out
     if not data.startswith(_GZIP_MAGIC):
         raise PackagingError("payload does not start with a gzip stream")
-    streams: list[bytes] = []
+    view = memoryview(data)
+    streams: list[tuple[bytes, bytes]] = []
     offset = 0
     while offset < len(data):
         if data[offset:offset + 2] != _GZIP_MAGIC:
             raise PackagingError(f"garbage between gzip streams at offset {offset}")
         decompressor = zlib.decompressobj(wbits=31)
         try:
-            decompressor.decompress(data[offset:])
-            decompressor.flush()
+            inflated = decompressor.decompress(view[offset:])
+            inflated += decompressor.flush()
         except zlib.error as exc:
             raise PackagingError(f"corrupt gzip stream at offset {offset}: {exc}") from exc
         if not decompressor.eof:
             raise PackagingError(f"truncated gzip stream at offset {offset}")
-        consumed = len(data) - offset - len(decompressor.unused_data)
-        streams.append(data[offset:offset + consumed])
-        offset += consumed
+        end = len(data) - len(decompressor.unused_data)
+        streams.append((data[offset:end], inflated))
+        offset = end
+    return streams
+
+
+def inflate_gzip_streams(data: bytes, expected: int | None = None
+                         ) -> list[tuple[bytes, bytes]]:
+    """Split concatenated gzip streams, inflating each exactly once.
+
+    Returns ``(compressed, inflated)`` per stream: the raw compressed byte
+    range (the apk signature is issued over the compressed control
+    segment, so byte ranges matter) and its decompressed contents.
+    """
+    streams = gzip_decompress(data, concatenated=True)
     if expected is not None and len(streams) != expected:
         raise PackagingError(
             f"expected {expected} concatenated gzip streams, found {len(streams)}"
         )
     return streams
+
+
+def split_gzip_streams(data: bytes, expected: int | None = None) -> list[bytes]:
+    """The compressed byte range of each concatenated gzip stream."""
+    return [compressed
+            for compressed, _ in inflate_gzip_streams(data, expected)]

@@ -56,7 +56,7 @@ from repro.archive.chunks import (
     decode_ops,
     encode_ops,
 )
-from repro.archive.gz import gzip_compress, gzip_decompress, split_gzip_streams
+from repro.archive.gz import gzip_compress, gzip_decompress, inflate_gzip_streams
 from repro.archive.index import (
     IndexEntry,
     RepositoryIndex,
@@ -220,8 +220,7 @@ def apply_index_delta(base: RepositoryIndex,
 
 def blob_manifest(blob: bytes) -> bytes:
     """Chunk manifest of an apk blob's *uncompressed data segment*."""
-    _, _, data_gz = split_gzip_streams(blob, expected=3)
-    data = gzip_decompress(data_gz)
+    _, _, (_, data) = inflate_gzip_streams(blob, expected=3)
     return MANIFEST_HEADER + "".join(
         f"{cid}\n" for cid in chunk_ids(data)).encode()
 
@@ -250,9 +249,8 @@ def build_package_delta(base_manifest: bytes,
     """
     base_ids = set(parse_manifest(base_manifest))
     try:
-        sig_gz, control_gz, data_gz = split_gzip_streams(target_blob,
-                                                         expected=3)
-        data = gzip_decompress(data_gz)
+        (sig_gz, _), (control_gz, _), (_, data) = inflate_gzip_streams(
+            target_blob, expected=3)
     except PackagingError as exc:
         raise DeltaError(f"target blob is not a valid apk: {exc}") from exc
     ops = build_chunk_ops(base_ids, data)
@@ -308,8 +306,7 @@ def apply_package_delta(base_blob: bytes, payload: bytes) -> bytes:
         raise DeltaError(f"malformed pdelta header {header!r}") from exc
     try:
         inner = gzip_decompress(inner_gz)
-        _, _, base_data_gz = split_gzip_streams(base_blob, expected=3)
-        base_data = gzip_decompress(base_data_gz)
+        _, _, (_, base_data) = inflate_gzip_streams(base_blob, expected=3)
     except PackagingError as exc:
         raise DeltaError(f"undecodable delta payload: {exc}") from exc
     sig_gz, offset = _read_sized(inner, b"S:", 0)

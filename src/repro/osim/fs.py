@@ -48,6 +48,11 @@ def normalize(path: str) -> str:
     """Normalize to an absolute path with no trailing slash (except root)."""
     if not path.startswith("/"):
         raise FileSystemError(f"path must be absolute: {path!r}")
+    # Already normal (the common case): no empty, "." or ".." component
+    # and no trailing slash.
+    if "//" not in path and "/." not in path and (
+            path == "/" or not path.endswith("/")):
+        return path
     parts: list[str] = []
     for part in path.split("/"):
         if part in ("", "."):

@@ -383,8 +383,9 @@ class PackageManager:
                 f"{entry.describe()}: content hash does not match signed index"
             )
         # The hash check above just pinned blob == entry.sha256, so the
-        # pool-warmed parse memo can be consulted under the index digest
-        # (serial runs keep the memo empty and parse inline, as before).
+        # parse memo can be consulted under the index digest: a fleet
+        # pulling the same blob parses it once per process, and each
+        # client still verifies the shared parse against its own keys.
         parsed = parse_apk_cached_with_cost(blob, entry.sha256)[0]
         parsed.verify(self.trusted_keys)
         if parsed.package.name != entry.name:

@@ -9,6 +9,7 @@ visible to the integrity-measurement layer.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
@@ -23,6 +24,15 @@ from repro.scripts.shell_ast import (
     Statement,
 )
 from repro.util.errors import ScriptError
+
+
+@functools.lru_cache(maxsize=256)
+def _parse_shared(source: str) -> Script:
+    """One AST per distinct script source, shared by every run: a fleet of
+    clients installing the same package runs the same hook text.  Safe
+    because nothing here or in the command table mutates an AST; parse
+    errors are not cached, so bad source raises on every run."""
+    return parse_script(source)
 
 
 @runtime_checkable
@@ -76,7 +86,7 @@ class Interpreter:
 
     def run(self, script: Script | str) -> ExecutionResult:
         if isinstance(script, str):
-            script = parse_script(script)
+            script = _parse_shared(script)
         context = _Context(host=self._host)
         try:
             code = self._run_statements(script.statements, context)

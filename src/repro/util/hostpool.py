@@ -24,8 +24,10 @@ Determinism rules the integration layers follow:
 2. Consumers that prefetched a key *wait* for the worker result instead
    of computing inline, so which process computed a value never races.
 3. With the pool disabled nothing here is imported by the hot paths and
-   the new pool-fed memos stay permanently empty, so every lookup misses
-   and the serial code path is bit-for-bit the pre-pool one.
+   the pool-only memos (sanitize analyses and finishes) stay permanently
+   empty, so every probe misses and the serial code path is bit-for-bit
+   the pre-pool one.  Memos the serial path fills itself (the apk parse
+   memo among them) are shared: the pool only seeds them earlier.
 """
 
 from __future__ import annotations

@@ -28,6 +28,29 @@ class TestNormalize:
         with pytest.raises(FileSystemError):
             normalize("etc/passwd")
 
+    @staticmethod
+    def _reference(path: str) -> str:
+        """The component-walking algorithm, without the fast path."""
+        parts: list[str] = []
+        for part in path.split("/"):
+            if part in ("", "."):
+                continue
+            if part == "..":
+                if parts:
+                    parts.pop()
+                continue
+            parts.append(part)
+        return "/" + "/".join(parts)
+
+    @given(st.lists(st.sampled_from(["", ".", "..", ".x", "x.", "x"]),
+                    max_size=8),
+           st.booleans())
+    @settings(max_examples=400)
+    def test_matches_reference(self, parts, trailing):
+        path = "/" + "/".join(parts) + ("/" if trailing else "")
+        assert normalize(path) == self._reference(path)
+        assert normalize(normalize(path)) == normalize(path)
+
 
 class TestFiles:
     def test_write_read_roundtrip(self, fs):

@@ -220,3 +220,45 @@ class TestShellActivation:
     def test_remove_shell(self, sh, host):
         sh.run("add-shell /bin/tcsh\nremove-shell /bin/tcsh\n")
         assert b"/bin/tcsh" not in host.read_file("/etc/shells")
+
+
+class TestSharedParse:
+    """``Interpreter.run`` parses source text through a shared AST cache."""
+
+    SCRIPT = (
+        "#!/bin/sh\n"
+        "mkdir -p /var/lib/app\n"
+        "if [ -f /etc/app.conf ]; then\n"
+        "  echo again >> /var/lib/app/log\n"
+        "else\n"
+        "  echo first > /etc/app.conf\n"
+        "fi\n"
+        "cat /etc/passwd | grep root | cut -d: -f1\n"
+        "echo done\n"
+    )
+
+    def test_bad_source_raises_on_every_run(self, sh):
+        for _ in range(3):
+            with pytest.raises(ScriptError):
+                sh.run("if true; then\necho never\n")
+
+    def test_repeated_runs_identical_on_two_hosts(self):
+        from repro.scripts.interpreter import _parse_shared
+        from repro.scripts.parser import parse_script
+
+        results = []
+        hosts = []
+        for _ in range(2):
+            fs = SimFileSystem()
+            fs.write_file("/etc/passwd", BASE_PASSWD.encode())
+            hosts.append(fs)
+            shell = Interpreter(fs)
+            results.append([shell.run(self.SCRIPT) for _ in range(3)])
+        assert results[0] == results[1]
+        first, second, third = results[0]
+        assert first.stdout == "root\ndone\n"
+        assert second == third
+        assert [fs.read_file("/var/lib/app/log") for fs in hosts] == [
+            b"again\nagain\n"] * 2
+        # Running never changed the shared AST.
+        assert _parse_shared(self.SCRIPT) == parse_script(self.SCRIPT)
