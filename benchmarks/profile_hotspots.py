@@ -11,7 +11,6 @@ full benchmark suite (which has the same view behind ``--profile``):
     PYTHONPATH=src python benchmarks/profile_hotspots.py replay-streaming
     PYTHONPATH=src python benchmarks/profile_hotspots.py serve
     PYTHONPATH=src python benchmarks/profile_hotspots.py solver
-    PYTHONPATH=src python benchmarks/profile_hotspots.py parallel
 
 Scales are deliberately small (6 rounds / 2 tenants / 8 clients;
 10k channels; 480-client rotation for the streaming target) so a
@@ -186,74 +185,6 @@ def profile_serve() -> None:
                  time.perf_counter() - begin)
 
 
-def profile_parallel() -> None:
-    """Hotspots of a pooled replay, plus the pool's own accounting: which
-    main-process layers remain serial once the content-determined kernels
-    are farmed out, and how much of the run's window the workers actually
-    overlapped with the main timeline."""
-    from repro.archive.apk import ApkPackage, PackageFile
-    from repro.mirrors.builder import MirrorSpec
-    from repro.simnet.latency import Continent
-    from repro.util.hostpool import (
-        clear_content_memos,
-        get_pool,
-        reset_pool,
-        set_workers,
-    )
-    from repro.workload.generator import generate_trace
-    from repro.workload.replay import replay_trace
-    from repro.workload.scenario import (
-        build_multi_tenant_scenario,
-        multi_tenant_refresh,
-    )
-
-    packages = []
-    for i in range(10):
-        files = [PackageFile(f"/usr/bin/pkg{i}",
-                             (b"\x7fELF" + bytes([i])) * 3000)]
-        files += [PackageFile(f"/usr/lib/pkg{i}/f{j}", bytes([i, j]) * 300)
-                  for j in range(11)]
-        packages.append(ApkPackage(name=f"pkg-{i:02d}", version="1.0-r0",
-                                   files=files))
-    scenario = build_multi_tenant_scenario(
-        tenants=2, overlap=0.6, packages=packages,
-        mirror_specs=(MirrorSpec("mirror-eu-1.example", Continent.EUROPE),
-                      MirrorSpec("mirror-na-1.example",
-                                 Continent.NORTH_AMERICA)))
-    multi_tenant_refresh(scenario)
-    trace = generate_trace(rounds=6, interval=0.4, publish_fraction=0.25,
-                           seed=5)
-
-    clear_content_memos()
-    set_workers(4)
-    profiler = cProfile.Profile()
-    begin = time.perf_counter()
-    profiler.enable()
-    try:
-        replay_trace(scenario, trace, clients=8, mode="interleaved")
-    finally:
-        profiler.disable()
-    wall = time.perf_counter() - begin
-    pool = get_pool()
-    stats = pool.stats() if pool is not None else {}
-    reset_pool()
-    clear_content_memos()
-    _print_stats("pooled trace replay (6 rounds / 2 tenants / 8 clients, "
-                 "4 workers)", profiler, wall)
-    if stats:
-        busy = stats["worker_busy_seconds"]
-        print(f"pool: {stats['workers']} workers, {stats['tasks']} tasks "
-              f"({stats['fallbacks']} inline fallbacks), "
-              f"worker busy {sum(busy.values()):.2f} s total, "
-              f"overlap with main timeline {stats['overlap_seconds']:.2f} s "
-              f"of a {stats['window_seconds']:.2f} s window")
-        for pid in sorted(busy):
-            print(f"  worker pid {pid}: busy {busy[pid]:.2f} s")
-        print(f"serial residue: {stats['serial_residue_fraction']:.0%} of "
-              "the window had no worker running — the profile above shows "
-              "where that residue lives")
-
-
 def profile_solver() -> None:
     from repro.simnet.schedule import ParallelTransferSchedule
 
@@ -284,13 +215,12 @@ def main(argv: list[str]) -> int:
                "replay-streaming": (profile_replay_streaming,),
                "serve": (profile_serve,),
                "solver": (profile_solver,),
-               "parallel": (profile_parallel,),
                "all": (profile_replay, profile_replay_streaming,
-                       profile_serve, profile_solver, profile_parallel)}
+                       profile_serve, profile_solver)}
     choice = argv[1] if len(argv) > 1 else "all"
     if choice not in targets:
         print(f"usage: {argv[0]} "
-              "[replay|replay-streaming|serve|solver|parallel|all]",
+              "[replay|replay-streaming|serve|solver|all]",
               file=sys.stderr)
         return 2
     for fn in targets[choice]:

@@ -18,7 +18,6 @@ paper describes under Figure 3.
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -166,44 +165,6 @@ class ApkPackage:
         segments, cost = self._build_segments_with_cost(signing_key, key_name)
         return b"".join(segments), cost
 
-    def build_prewarm(self, signing_key: RsaPrivateKey,
-                      key_name: str = "builder") -> tuple[bytes, dict]:
-        """Worker-side build: serialize and sign like :meth:`build`, but
-        also return the content-keyed memo entries (compressed segments,
-        control-segment signature, self-check verdict) a later rebuild
-        needs, so the main process can splice this package together
-        without redoing the deflates or the CRT sign."""
-        from repro.crypto.rsa import _VERIFY_MEMO
-        entries: dict[str, list] = {"gz": [], "sign": [], "verify": []}
-        data_tar = self._data_tar()
-        data_gz, data_cost = gzip_compress_cached_with_cost(data_tar)
-        entries["gz"].append(((hashlib.sha256(data_tar).digest(),
-                               len(data_tar), 6), data_gz, data_cost))
-        control_tar = self._control_tar(data_gz)
-        control_gz, control_cost = gzip_compress_cached_with_cost(control_tar)
-        entries["gz"].append(((hashlib.sha256(control_tar).digest(),
-                               len(control_tar), 6), control_gz,
-                              control_cost))
-        signature, sign_cost = signing_key.sign_with_cost(control_gz)
-        digest = sha256_bytes(control_gz)
-        verify_hit = _VERIFY_MEMO.get(
-            (signing_key.n, signing_key.e, digest, signature))
-        if verify_hit is None:
-            verify_hit = signing_key.public_key.verify_with_cost(
-                control_gz, signature)
-        entries["sign"].append((signing_key.n, digest, signature, sign_cost))
-        entries["verify"].append((signing_key.n, signing_key.e, digest,
-                                  signature, True, verify_hit[1]))
-        signature_tar = write_tar(
-            [TarEntry(name=f".SIGN.RSA.{key_name}.rsa.pub", data=signature)]
-        )
-        signature_gz, signature_cost = gzip_compress_cached_with_cost(
-            signature_tar)
-        entries["gz"].append(((hashlib.sha256(signature_tar).digest(),
-                               len(signature_tar), 6), signature_gz,
-                              signature_cost))
-        return signature_gz + control_gz + data_gz, entries
-
     # -- parsing / verification --------------------------------------------
 
     @classmethod
@@ -312,15 +273,14 @@ class ParsedApk:
         return signer, cost
 
 
-# -- parse memo and host-pool batch entry points ------------------------------
+# -- parse memo ----------------------------------------------------------------
 #
 # Parsing is a pure function of the blob.  Every client of a pull wave
 # downloads the same sanitized bytes, so one process-wide table holds each
-# recent parse once: every caller fills it on a miss, and host-pool
-# workers, which parse ahead of the timeline, seed it with their results.
-# Entries are ``(parsed, measured parse seconds)``; a hit returns the cost
-# the original parse measured, so enclave-time models can charge it as
-# fresh work.  Parsed objects are shared: no consumer may mutate them (each
+# recent parse once, filled by every caller on a miss.  Entries are
+# ``(parsed, measured parse seconds)``; a hit returns the cost the
+# original parse measured, so enclave-time models can charge it as fresh
+# work.  Parsed objects are shared: no consumer may mutate them (each
 # still runs its own ``ParsedApk.verify`` against its own trusted keys).
 # The table is a bounded LRU: a hit moves its entry to the end, an insert
 # past the limit evicts the least recently used entry.
@@ -334,27 +294,12 @@ def clear_parse_memo() -> None:
     _PARSE_MEMO.clear()
 
 
-def _parse_memo_put(key: tuple[str, int],
-                    entry: tuple["ParsedApk", float]) -> None:
-    _PARSE_MEMO[key] = entry
-    if len(_PARSE_MEMO) > _PARSE_MEMO_LIMIT:
-        _PARSE_MEMO.popitem(last=False)
-
-
-def seed_parse_entry(key: tuple[str, int], parsed: "ParsedApk",
-                     cost: float) -> None:
-    """Install a worker-computed parse (host pool).  Never overwrites: the
-    first computation's recorded cost wins."""
-    if key not in _PARSE_MEMO:
-        _parse_memo_put(key, (parsed, cost))
-
-
 def parse_apk_cached_with_cost(blob: bytes,
                                digest: str | None = None
                                ) -> tuple["ParsedApk", float]:
     """Memoized :meth:`ApkPackage.parse`: returns ``(parsed,
-    host_seconds)`` where the cost is what the parse measured wherever it
-    actually ran.  The memo keys on ``(sha256 hex, len(blob))``.  A caller
+    host_seconds)`` where the cost is what the original parse measured.
+    The memo keys on ``(sha256 hex, len(blob))``.  A caller
     passing ``digest`` must just have computed it over ``blob`` or pinned
     ``blob`` against it (the index hash check); otherwise the blob is
     hashed here.  Parse failures propagate and are not cached."""
@@ -368,75 +313,10 @@ def parse_apk_cached_with_cost(blob: bytes,
     started = perf_counter()
     parsed = ApkPackage.parse(blob)
     hit = (parsed, perf_counter() - started)
-    _parse_memo_put(key, hit)
+    _PARSE_MEMO[key] = hit
+    if len(_PARSE_MEMO) > _PARSE_MEMO_LIMIT:
+        _PARSE_MEMO.popitem(last=False)
     return hit
-
-
-def parse_kernel(blob: bytes, trusted_keys: tuple[RsaPublicKey, ...]
-                 ) -> tuple:
-    """Worker-side parse + signature verdicts for every trusted key up to
-    the first that verifies (mirroring ``ParsedApk.verify_with_cost``)."""
-    started = perf_counter()
-    parsed = ApkPackage.parse(blob)
-    parse_cost = perf_counter() - started
-    verify_entries = []
-    for key in trusted_keys:
-        if len(parsed.signature) != key.size_bytes:
-            continue
-        ok, cost = key.verify_with_cost(parsed.control_gz, parsed.signature)
-        verify_entries.append((key.n, key.e, sha256_bytes(parsed.control_gz),
-                               parsed.signature, ok, cost))
-        if ok:
-            break
-    return (sha256_hex(blob), len(blob)), parsed, parse_cost, verify_entries
-
-
-def parse_verify_batch(items: list[tuple[bytes, tuple[RsaPublicKey, ...]]],
-                       pool=None) -> None:
-    """Warm the parse memo (and the rsa verify memo) for ``(blob,
-    trusted_keys)`` pairs an upcoming scan or pull wave will consume."""
-    if pool is None or not items:
-        return
-    from repro.crypto.rsa import seed_verify_entry
-    misses = []
-    pending = set()
-    for blob, keys in items:
-        memo_key = (sha256_hex(blob), len(blob))
-        if memo_key in _PARSE_MEMO or memo_key in pending:
-            continue
-        pending.add(memo_key)
-        misses.append((blob, tuple(keys)))
-    for memo_key, parsed, cost, entries in pool.run_batch(
-            "parse_verify", misses):
-        seed_parse_entry(memo_key, parsed, cost)
-        for entry in entries:
-            seed_verify_entry(*entry)
-
-
-def seed_build_entries(entries: dict) -> None:
-    """Install one :meth:`ApkPackage.build_prewarm` harvest into the
-    segment-compress and sign/verify memos (main process only)."""
-    from repro.archive.gz import seed_compress_entry
-    from repro.crypto.rsa import seed_sign_entry, seed_verify_entry
-    for key, compressed, cost in entries["gz"]:
-        seed_compress_entry(key, compressed, cost)
-    for n, digest, signature, cost in entries["sign"]:
-        seed_sign_entry(n, digest, signature, cost)
-    for entry in entries["verify"]:
-        seed_verify_entry(*entry)
-
-
-def publish_build_batch(packages: list[ApkPackage],
-                        signing_key: RsaPrivateKey,
-                        key_name: str = "builder", pool=None) -> None:
-    """Pre-build packages about to be published: workers deflate and sign,
-    the main process installs the memo entries, and the serial
-    ``build()`` then splices the identical bytes from warm caches."""
-    if pool is None or not packages:
-        return
-    payloads = [(package, signing_key, key_name) for package in packages]
-    for entries in pool.run_batch("publish_build", payloads):
-        seed_build_entries(entries)
 
 
 def _parse_pkginfo(text: str) -> dict:

@@ -56,34 +56,6 @@ def gzip_compress_cached_with_cost(data: bytes,
     return hit
 
 
-def seed_compress_entry(key: tuple, compressed: bytes, cost: float) -> None:
-    """Install a worker-computed segment into the memo (host pool).  Never
-    overwrites: the first computation's recorded cost wins."""
-    if key not in _COMPRESS_MEMO:
-        if len(_COMPRESS_MEMO) >= _COMPRESS_MEMO_LIMIT:
-            _COMPRESS_MEMO.clear()
-        _COMPRESS_MEMO[key] = (compressed, cost)
-
-
-def gzip_compress_batch(datas: list[bytes], level: int = 6,
-                        pool=None) -> None:
-    """Warm the compress memo for every payload in ``datas``, deflating
-    cache misses on the worker pool.  Installed entries carry the
-    worker-measured deflate cost (cost-honesty preserved)."""
-    misses = []
-    pending = set()
-    for data in datas:
-        key = (hashlib.sha256(data).digest(), len(data), level)
-        if key in _COMPRESS_MEMO or key in pending:
-            continue
-        pending.add(key)
-        misses.append((data, level))
-    if not misses or pool is None:
-        return
-    for key, compressed, cost in pool.run_batch("gzip", misses):
-        seed_compress_entry(key, compressed, cost)
-
-
 def clear_compress_memo() -> None:
     """Drop the segment memo (differential tests pin cached == fresh)."""
     _COMPRESS_MEMO.clear()

@@ -320,7 +320,6 @@ class RefreshOrchestrator:
         try:
             self._quorum_phase(scheduler)
             self._download_phase(scheduler)
-            self._prewarm_phase()
             self._scan_phase()
             enclave_free = self._sanitize_phase()
         finally:
@@ -687,28 +686,6 @@ class RefreshOrchestrator:
                 plan.jobs[name] = _SanJob(name=name, blob=blob, ready=ready)
 
     # -- scan + sanitize phases ---------------------------------------------
-
-    def _prewarm_phase(self):
-        """Fan the round's known sanitize work out to the host pool.
-
-        Every changed blob is downloaded by now, so the round's sanitize
-        work-list is fully known before the serial scan/sanitize timeline
-        starts.  With a worker pool configured (``REPRO_WORKERS``), the
-        content- and repository-determined memos are warmed here in
-        parallel; the serial phases then consume memo hits carrying the
-        worker-measured costs.  Simulated time, outcomes, and output
-        bytes are identical either way — with the pool off this is a
-        no-op and the phase doesn't exist.
-        """
-        from repro.util.hostpool import get_pool
-        if get_pool() is None:
-            return
-        enclave = self._service._enclave
-        for plan in self._plans:
-            blobs = [plan.jobs[name].blob
-                     for name in plan.quorum["changed"]]
-            if blobs:
-                enclave.ecall("prewarm_sanitize", plan.repo_id, blobs)
 
     def _scan_phase(self):
         """Account-scan every tenant's blobs (memoized across tenants)."""

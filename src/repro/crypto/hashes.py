@@ -23,22 +23,6 @@ def sha256_hex(data: bytes) -> str:
     return sha256_bytes(data).hex()
 
 
-#: Below this many total bytes a digest batch is cheaper inline than the
-#: pickle round-trip to a worker.
-_BATCH_POOL_THRESHOLD = 1 << 20
-
-
-def sha256_hex_batch(blobs: list[bytes], pool=None) -> list[str]:
-    """Hex digests for a batch of blobs, in input order.
-
-    Large batches fan out to the host pool (repro.util.hostpool); the
-    result is the same pure function of the input either way.
-    """
-    if pool is None or sum(map(len, blobs)) < _BATCH_POOL_THRESHOLD:
-        return [sha256_hex(blob) for blob in blobs]
-    return pool.run_batch("sha256hex", list(blobs))
-
-
 # Keystream generation (sgx.sealing) calls HMAC once per 32-byte block
 # with the same key, so the padded-key hash states are precomputed once
 # per key and ``.copy()``-ed per message.  Output is bit-identical to the

@@ -14,7 +14,6 @@ from repro.archive.apk import (
     ApkPackage,
     PackageFile,
     parse_apk_cached_with_cost,
-    seed_parse_entry,
 )
 from repro.archive.index import IndexEntry, RepositoryIndex
 from repro.crypto.hashes import sha256_hex
@@ -153,24 +152,6 @@ class TestBoundedLru:
         assert _key(blobs[1]) not in apk._PARSE_MEMO
         assert len(apk._PARSE_MEMO) == limit
 
-    def test_seeded_entries_follow_the_same_rule(self, blobs):
-        limit = apk._PARSE_MEMO_LIMIT
-        parsed = ApkPackage.parse(blobs[0])
-        for blob in blobs[:limit]:
-            seed_parse_entry(_key(blob), parsed, 0.5)
-        parse_apk_cached_with_cost(blobs[0], sha256_hex(blobs[0]))
-        for blob in blobs[limit:]:
-            seed_parse_entry(_key(blob), parsed, 0.5)
-            assert len(apk._PARSE_MEMO) <= limit
-        assert _key(blobs[0]) in apk._PARSE_MEMO
-        assert _key(blobs[1]) not in apk._PARSE_MEMO
-
-    def test_seed_never_overwrites(self, blobs):
-        first = ApkPackage.parse(blobs[0])
-        seed_parse_entry(_key(blobs[0]), first, 0.25)
-        seed_parse_entry(_key(blobs[0]), ApkPackage.parse(blobs[0]), 9.0)
-        assert apk._PARSE_MEMO[_key(blobs[0])] == (first, 0.25)
-
 
 class TestRecordedCost:
     def test_hit_returns_recorded_cost(self, rsa_key):
@@ -180,9 +161,3 @@ class TestRecordedCost:
         again, again_cost = parse_apk_cached_with_cost(blob)
         assert again is parsed
         assert again_cost == cost
-
-    def test_hit_on_seeded_entry_returns_seeded_cost(self, rsa_key):
-        blob = _package().build(rsa_key)
-        parsed = ApkPackage.parse(blob)
-        seed_parse_entry(_key(blob), parsed, 1.234)
-        assert parse_apk_cached_with_cost(blob) == (parsed, 1.234)
