@@ -10,11 +10,10 @@ A shielded proxy between package managers and community repositories:
   cache with sealed, monotonic-counter-protected freshness (section 5.5),
 * :mod:`repro.core.program` — the code that runs *inside* the enclave,
 * :mod:`repro.core.service` — the host-side service + network endpoint,
-* :mod:`repro.core.pipeline` — the overlapped (pipelined) refresh engine
-  and the batch mirror-download scheduler,
-* :mod:`repro.core.orchestrator` — the multi-tenant refresh orchestrator
-  (shared-enclave scheduling, cross-tenant dedupe, quorum/download
-  interleaving),
+* :mod:`repro.core.pipeline` — the batch mirror-download scheduler,
+* :mod:`repro.core.orchestrator` — the overlapped refresh engine, for one
+  repository (``refresh(pipelined=True)``) or many (shared-enclave
+  scheduling, cross-tenant dedupe, quorum/download interleaving),
 * :mod:`repro.core.client` — the package-manager-facing repository client.
 """
 
@@ -22,12 +21,7 @@ from repro.core.policy import SecurityPolicy, MirrorPolicyEntry
 from repro.core.quorum import QuorumReader, QuorumResult, entry_agreement
 from repro.core.catalog import PackageScanDelta, RepositoryCatalog, extract_scan_delta
 from repro.core.orchestrator import MultiTenantRefreshReport, RefreshOrchestrator
-from repro.core.pipeline import (
-    DownloadBatch,
-    MirrorDownloadScheduler,
-    PipelineOutcome,
-    RefreshPipeline,
-)
+from repro.core.pipeline import DownloadBatch, MirrorDownloadScheduler
 from repro.core.sanitizer import Sanitizer, SanitizationResult, SanitizationRejected
 from repro.core.service import RefreshReport, RepoConfig, TrustedSoftwareRepository
 from repro.core.client import TsrRepositoryClient, MirrorRepositoryClient
@@ -45,8 +39,6 @@ __all__ = [
     "RefreshOrchestrator",
     "DownloadBatch",
     "MirrorDownloadScheduler",
-    "PipelineOutcome",
-    "RefreshPipeline",
     "Sanitizer",
     "SanitizationResult",
     "SanitizationRejected",

@@ -779,7 +779,6 @@ class RefreshOrchestrator:
             results=plan.results,
             wall_elapsed=plan.end - self._origin,
             pipelined=True,
-            orchestrated=True,
             mirror_assignments=plan.mirror_assignments,
             sanitized_early=plan.sanitized_early,
             deduped_downloads=plan.deduped_downloads,

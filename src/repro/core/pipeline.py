@@ -1,94 +1,39 @@
-"""Pipelined refresh engine: overlap downloads, scans, and sanitization.
+"""Batch mirror downloads on a live transfer schedule.
 
-The paper's refresh is strictly phased — quorum, then every download, then
-every sanitization — which leaves the mirrors idle while the enclave works
-and the enclave idle while bytes move (Table 3's 17-minute download ahead
-of a 13-minute sanitization).  This module reschedules one refresh on the
-simulated clock as a pipeline over three resource classes:
+The paper's refresh fetches packages one at a time from one mirror.
+:class:`MirrorDownloadScheduler` instead spreads a refresh's downloads
+over one channel per policy mirror, each at the mirror's own serving
+bandwidth, all sharing the TSR host's downlink (max-min fairly, via the
+incremental solver in :class:`repro.simnet.schedule.ParallelTransferSchedule`).
 
-* **mirror channels** — one concurrent stream per policy mirror, each at
-  the mirror's own serving bandwidth, all sharing the TSR host's downlink
-  (max-min fairly, via the incremental solver in
-  :class:`repro.simnet.schedule.ParallelTransferSchedule`);
-* **the enclave** — a serial channel; a package is scanned the moment its
-  blob is local, and sanitized as soon as the scan is done *unless* its
-  scripts splice the repository-wide account prelude, in which case it
-  waits for the catalog barrier (the last scan);
-* **cache shards** — disk reads/writes serialize per shard only, so a
-  cache-hit lookup no longer queues behind an insert on another shard.
-
-The download half lives in :class:`MirrorDownloadScheduler`, a *batch*
-planner over per-mirror channels: each batch is one repository's changed
-set (names + quorum-pinned sizes/hashes + the policy mirrors allowed to
+Work arrives in *batches*: each batch is one repository's changed set
+(names + quorum-pinned sizes/hashes + the policy mirrors allowed to
 serve it), assigned longest-processing-time-first onto the least-loaded
 channel and verified/retried against the live schedule.  One scheduler
-can carry batches of *several* repositories on one shared schedule — the
-multi-tenant orchestrator (:mod:`repro.core.orchestrator`) interleaves
-tenants' downloads this way, while :class:`RefreshPipeline` runs a single
-batch and keeps its historical single-repo behaviour.
+carries the batches of several repositories, and of several rounds, on
+one shared schedule: the refresh orchestrator
+(:mod:`repro.core.orchestrator`, which also runs the single-repository
+``refresh(pipelined=True)``) interleaves tenants' downloads this way,
+and the trace replay (:mod:`repro.workload.replay`) keeps one scheduler
+across rounds.
 
-Correctness is inherited, not re-argued: the engine performs exactly the
-same ecalls as the sequential path (scan everything, freeze the catalog,
-sanitize everything), and the enclave itself refuses an illegal overlap
-(:meth:`TsrProgram.sanitize_package_precatalog` rejects catalog-dependent
-packages).  Tests assert the pipelined and sequential modes produce the
-same package sets, rejections, and verdicts.
+Downloads are verified against the quorum-validated index before the
+enclave sees them; a corrupt or missing blob is retried on another
+policy mirror, so the verdicts the enclave reaches do not depend on the
+schedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.sanitizer import SanitizationRejected, SanitizationResult
 from repro.core.service import matches_expected
-from repro.simnet.latency import (
-    LOCAL_DISK_BANDWIDTH_BYTES_PER_S,
-    LOCAL_DISK_SEEK_S,
-)
 from repro.simnet.network import Request
 from repro.simnet.schedule import ParallelTransferSchedule
 from repro.util.errors import NetworkError
 
 #: Default request size for a package fetch (control message).
 _REQUEST_BYTES = 256
-
-
-@dataclass
-class PipelineOutcome:
-    """Everything one pipelined refresh produced, plus its schedule."""
-
-    #: Makespan of the overlapped schedule (seconds after the quorum).
-    makespan: float
-    #: Sum of per-package download durations (setup + transfer + stalls).
-    download_elapsed: float
-    #: Sum of simulated in-enclave sanitization durations.
-    sanitize_elapsed: float
-    downloaded_bytes: int
-    rejected: list[tuple[str, str]]
-    results: list[SanitizationResult]
-    catalog_info: dict
-    #: Package name -> mirror hostname that served it (downloads only).
-    mirror_assignments: dict[str, str] = field(default_factory=dict)
-    #: Packages sanitized before the catalog barrier.
-    sanitized_early: int = 0
-    #: When the catalog froze, relative to the phase start.
-    catalog_barrier_at: float = 0.0
-    #: Re-downloads forced because the cached blob had been evicted.
-    evicted_redownloads: int = 0
-    #: Downloads satisfied by the content-addressed store (blobs another
-    #: tenant's orchestrated refresh landed), and the bytes not re-moved.
-    deduped_downloads: int = 0
-    deduped_download_bytes: int = 0
-
-
-@dataclass
-class _Job:
-    """One package travelling through the pipeline."""
-
-    name: str
-    blob: bytes
-    ready: float
-    needs_catalog: bool = False
 
 
 @dataclass(eq=False)  # identity semantics: batches key the retry maps
@@ -461,186 +406,3 @@ class MirrorDownloadScheduler:
             self._candidate.pop(item, None)
             self._success_key.pop(item, None)
             self._last_error.pop(item, None)
-
-
-class RefreshPipeline:
-    """Schedules one repository refresh over mirrors, enclave, and shards."""
-
-    def __init__(self, service, repo_id: str, mirrors: list[dict],
-                 expected: dict[str, dict], max_streams: int | None = None):
-        self._service = service
-        self._network = service._network
-        self._repo_id = repo_id
-        self._expected = expected
-        self._ordered_mirrors = service.mirrors_by_rtt(mirrors)
-        streams = len(self._ordered_mirrors)
-        if max_streams is not None:
-            if max_streams < 1:
-                raise ValueError("max_streams must be >= 1")
-            streams = min(streams, max_streams)
-        self._channels = self._ordered_mirrors[:streams]
-        self._shard_free: dict[int, float] = {}
-        self._evicted_redownloads = 0
-        self._deduped_downloads = 0
-        self._deduped_download_bytes = 0
-
-    # -- public entry -------------------------------------------------------
-
-    def run(self, changed: list[str]) -> PipelineOutcome:
-        """Fetch, scan, and sanitize ``changed``; returns the schedule."""
-        jobs, download_elapsed, downloaded_bytes, assignments = \
-            self._acquire_blobs(changed)
-
-        # Scan every blob in index order (zero simulated cost, as in the
-        # sequential path: scans are metadata work dwarfed by transfers).
-        enclave = self._service._enclave
-        by_name = {job.name: job for job in jobs}
-        for name in changed:
-            job = by_name[name]
-            info = enclave.ecall("scan_package", self._repo_id, job.blob)
-            job.needs_catalog = info["needs_catalog"]
-        barrier_at = max((job.ready for job in jobs), default=0.0)
-
-        # Enclave channel: FIFO by blob-readiness; catalog-independent
-        # packages sanitize immediately, the rest queue behind the barrier.
-        rejected: list[tuple[str, str]] = []
-        results: list[SanitizationResult] = []
-        sanitize_elapsed = 0.0
-        sanitized_early = 0
-        enclave_free = 0.0
-        deferred: list[_Job] = []
-        for job in sorted(jobs, key=lambda j: (j.ready, j.name)):
-            if job.needs_catalog:
-                deferred.append(job)
-                continue
-            start = max(enclave_free, job.ready)
-            duration = self._sanitize(job, "sanitize_package_precatalog",
-                                      rejected, results)
-            if duration is not None:
-                sanitize_elapsed += duration
-                sanitized_early += 1
-                enclave_free = start + duration
-                self._charge_shard_write(job.name, len(results[-1].blob),
-                                         enclave_free)
-        catalog_info = enclave.ecall("finish_catalog", self._repo_id)
-        enclave_free = max(enclave_free, barrier_at)
-        for job in deferred:
-            start = max(enclave_free, job.ready)
-            duration = self._sanitize(job, "sanitize_package", rejected,
-                                      results)
-            if duration is not None:
-                sanitize_elapsed += duration
-                enclave_free = start + duration
-                self._charge_shard_write(job.name, len(results[-1].blob),
-                                         enclave_free)
-
-        makespan = max([enclave_free, barrier_at,
-                        *self._shard_free.values()] or [0.0])
-        return PipelineOutcome(
-            makespan=makespan,
-            download_elapsed=download_elapsed,
-            sanitize_elapsed=sanitize_elapsed,
-            downloaded_bytes=downloaded_bytes,
-            rejected=rejected,
-            results=results,
-            catalog_info=catalog_info,
-            mirror_assignments=assignments,
-            sanitized_early=sanitized_early,
-            catalog_barrier_at=barrier_at,
-            evicted_redownloads=self._evicted_redownloads,
-            deduped_downloads=self._deduped_downloads,
-            deduped_download_bytes=self._deduped_download_bytes,
-        )
-
-    # -- blob acquisition ---------------------------------------------------
-
-    def _acquire_blobs(self, changed: list[str]) -> tuple[
-            list[_Job], float, int, dict[str, str]]:
-        """Cache-check then multi-mirror fetch; returns jobs with ready times."""
-        cache = self._service.cache
-        jobs: list[_Job] = []
-        to_download: list[str] = []
-        for name in changed:
-            want = self._expected[name]
-            blob, source, evicted = cache.lookup_blob(self._repo_id, name,
-                                                      want)
-            if blob is not None:
-                if source == "named":
-                    ready = self._charge_shard_read(name, len(blob), 0.0)
-                else:
-                    shard = cache.content_shard_index(want["sha256"])
-                    ready = self._shard_busy_index(shard, len(blob), 0.0)
-                    self._deduped_downloads += 1
-                    self._deduped_download_bytes += len(blob)
-                jobs.append(_Job(name=name, blob=blob, ready=ready))
-                continue
-            if evicted:
-                self._evicted_redownloads += 1
-            to_download.append(name)
-
-        download_elapsed = 0.0
-        downloaded_bytes = 0
-        assignments: dict[str, str] = {}
-        if not to_download:
-            return jobs, download_elapsed, downloaded_bytes, assignments
-
-        fetched, durations, finishes, assignments = \
-            self._download_pipelined(to_download)
-        # Charge cache writes in completion order: the shard queues see
-        # blobs as they land, not in index order.
-        for name in sorted(to_download, key=lambda n: (finishes[n], n)):
-            blob = fetched[name]
-            downloaded_bytes += len(blob)
-            download_elapsed += durations[name]
-            cache.put_original(self._repo_id, name, blob)
-            self._charge_shard_write(name, len(blob), finishes[name])
-            jobs.append(_Job(name=name, blob=blob, ready=finishes[name]))
-        return jobs, download_elapsed, downloaded_bytes, assignments
-
-    def _download_pipelined(self, names: list[str]) -> tuple[
-            dict[str, bytes], dict[str, float], dict[str, float],
-            dict[str, str]]:
-        """Fan the downloads out over per-mirror channels (one batch on a
-        fresh :class:`MirrorDownloadScheduler`)."""
-        scheduler = MirrorDownloadScheduler(self._service)
-        batch = scheduler.add_batch(names, self._expected,
-                                    self._ordered_mirrors,
-                                    fanout=self._channels)
-        scheduler.resolve()
-        return batch.fetched, batch.durations, batch.finishes, \
-            batch.assignments
-
-    # -- per-resource accounting -------------------------------------------
-
-    def _sanitize(self, job: _Job, ecall: str,
-                  rejected: list[tuple[str, str]],
-                  results: list[SanitizationResult]) -> float | None:
-        """Really execute one sanitization; returns its simulated duration."""
-        try:
-            result = self._service._enclave.ecall(ecall, self._repo_id,
-                                                  job.blob)
-        except SanitizationRejected as exc:
-            rejected.append((job.name, exc.reason))
-            return None
-        duration = self._service.simulated_sanitize_duration(result)
-        self._service.cache.put_sanitized(self._repo_id, job.name, result.blob)
-        results.append(result)
-        return duration
-
-    def _shard_busy(self, name: str, size: int, at: float) -> float:
-        """Serialize one disk operation on the blob's cache shard."""
-        shard = self._service.cache.shard_index(self._repo_id, name)
-        return self._shard_busy_index(shard, size, at)
-
-    def _shard_busy_index(self, shard: int, size: int, at: float) -> float:
-        start = max(self._shard_free.get(shard, 0.0), at)
-        finish = start + LOCAL_DISK_SEEK_S \
-            + size / LOCAL_DISK_BANDWIDTH_BYTES_PER_S
-        self._shard_free[shard] = finish
-        return finish
-
-    def _charge_shard_read(self, name: str, size: int, at: float) -> float:
-        return self._shard_busy(name, size, at)
-
-    def _charge_shard_write(self, name: str, size: int, at: float) -> float:
-        return self._shard_busy(name, size, at)

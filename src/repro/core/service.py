@@ -56,19 +56,20 @@ class RefreshReport:
     insecure_findings: list[tuple[str, str]] = field(default_factory=list)
     results: list[SanitizationResult] = field(default_factory=list)
     #: Simulated wall-clock of the whole refresh.  In sequential mode the
-    #: phases simply add up; the pipelined engine overlaps them, so its
-    #: wall-clock is recorded explicitly and is less than the phase sum.
+    #: phases simply add up; the orchestrated (pipelined) engine overlaps
+    #: them, so its wall-clock is recorded explicitly and is less than
+    #: the phase sum.
     wall_elapsed: float | None = None
+    #: This refresh ran on the orchestrator (``refresh(pipelined=True)``
+    #: or a multi-tenant plan) rather than the phased path.
     pipelined: bool = False
     #: Package name -> serving mirror (pipelined downloads only).
     mirror_assignments: dict[str, str] = field(default_factory=dict)
     #: Packages sanitized before the catalog barrier (pipelined only).
     sanitized_early: int = 0
-    #: This refresh ran as part of a multi-tenant orchestrated plan.
-    orchestrated: bool = False
     #: Packages whose download was satisfied by another tenant's transfer
-    #: or the content-addressed cache (orchestrated plans only), and the
-    #: bytes that did not have to move again because of it.
+    #: or the content-addressed cache, and the bytes that did not have to
+    #: move again because of it.
     deduped_downloads: int = 0
     deduped_download_bytes: int = 0
     #: Packages whose catalog scan replayed a memoized delta.
@@ -167,8 +168,8 @@ class RepoConfig:
     to re-export the enclave state, re-parse the policy YAML, and re-sort
     the mirror set on *every* call.  Policies are immutable after
     deployment, so this is resolved once per repository and shared by the
-    phased, pipelined, and orchestrated refresh paths (the cache is
-    dropped on :meth:`TrustedSoftwareRepository.restart`).
+    phased refresh path and the orchestrator (the cache is dropped on
+    :meth:`TrustedSoftwareRepository.restart`).
     """
 
     repo_id: str
@@ -328,34 +329,41 @@ class TrustedSoftwareRepository:
 
     # -- refresh (batch sanitization) ------------------------------------------------------
 
-    def refresh(self, repo_id: str, parallel_downloads: int = 1,
-                pipelined: bool = False,
+    def refresh(self, repo_id: str, pipelined: bool = False,
                 max_streams: int | None = None) -> RefreshReport:
         """Quorum-read the upstream index, sanitize changed packages,
         publish a new sanitized index, and seal state.
 
-        ``parallel_downloads`` spreads package fetches over that many
-        concurrent mirror connections — the optimization the paper leaves
-        as future work (Table 3 discussion); 1 reproduces the paper's
-        sequential behaviour.
+        The default is the paper's strictly phased refresh (Table 3):
+        quorum, then every download from one mirror at a time, then every
+        sanitization.
 
-        ``pipelined`` switches to the overlapped refresh engine
-        (:mod:`repro.core.pipeline`): downloads fan out over every policy
-        mirror concurrently (capped by ``max_streams``) and sanitization
-        starts while later packages are still in flight.  Verdicts are
-        identical to sequential mode; only the schedule differs.
+        ``pipelined`` runs the same work as a one-repository
+        :class:`~repro.core.orchestrator.RefreshOrchestrator` plan
+        instead: downloads fan out over the policy mirrors concurrently
+        (capped by ``max_streams``), start on entries the first quorum
+        wave already agrees on, and sanitization starts while later
+        packages are still in flight.  The plan first drains any pending
+        serving-induced re-sanitize jobs, as orchestrated rounds do.
+        Verdicts and sanitized bytes are identical to the phased path;
+        only the schedule differs.
         """
-        if parallel_downloads < 1:
-            raise ValueError("parallel_downloads must be >= 1")
+        if pipelined:
+            from repro.core.orchestrator import RefreshOrchestrator
+
+            plan = RefreshOrchestrator(self, [repo_id],
+                                       max_streams=max_streams).run()
+            report = plan.reports[repo_id]
+            # The plan's makespan (what the clock advanced by) includes
+            # the last cache-shard write, which the tenant's end omits.
+            report.wall_elapsed = plan.wall_elapsed
+            return report
+
         config = self.repo_config(repo_id)
         policy_mirrors = list(config.mirrors)
         quorum_start = self._network.clock.now()
         quorum = self._read_quorum(repo_id, policy_mirrors)
         quorum_elapsed = self._network.clock.now() - quorum_start
-
-        if pipelined:
-            return self._refresh_pipelined(repo_id, policy_mirrors, quorum,
-                                           quorum_elapsed, max_streams)
 
         download_elapsed = 0.0
         sanitize_elapsed = 0.0
@@ -388,25 +396,14 @@ class TrustedSoftwareRepository:
                 evicted_redownloads += 1
             to_download.append(name)
 
-        if parallel_downloads == 1:
-            for name in to_download:
-                start = self._network.clock.now()
-                blob = self._download_package(policy_mirrors, name,
-                                              quorum["expected"][name])
-                download_elapsed += self._network.clock.now() - start
-                downloaded += len(blob)
-                self.cache.put_original(repo_id, name, blob)
-                blobs[name] = blob
-        elif to_download:
+        for name in to_download:
             start = self._network.clock.now()
-            fetched = self._download_parallel(policy_mirrors, to_download,
-                                              quorum["expected"],
-                                              parallel_downloads)
+            blob = self._download_package(policy_mirrors, name,
+                                          quorum["expected"][name])
             download_elapsed += self._network.clock.now() - start
-            for name, blob in fetched.items():
-                downloaded += len(blob)
-                self.cache.put_original(repo_id, name, blob)
-                blobs[name] = blob
+            downloaded += len(blob)
+            self.cache.put_original(repo_id, name, blob)
+            blobs[name] = blob
 
         # Pass 2: account catalog over the whole upstream set (first refresh)
         # or just the changed set (incremental refreshes keep the catalog).
@@ -446,46 +443,12 @@ class TrustedSoftwareRepository:
             deduped_download_bytes=deduped_download_bytes,
         )
 
-    def _refresh_pipelined(self, repo_id: str, policy_mirrors: list[dict],
-                           quorum: dict, quorum_elapsed: float,
-                           max_streams: int | None) -> RefreshReport:
-        """The overlapped refresh path (see :mod:`repro.core.pipeline`)."""
-        from repro.core.pipeline import RefreshPipeline
-
-        pipeline = RefreshPipeline(self, repo_id, policy_mirrors,
-                                   quorum["expected"],
-                                   max_streams=max_streams)
-        outcome = pipeline.run(list(quorum["changed"]))
-        self._network.clock.advance(outcome.makespan)
-        index_bytes = self._enclave.ecall("finalize_index", repo_id)
-        del index_bytes  # published on demand via get_index
-        self._seal_state()
-        return RefreshReport(
-            serial=quorum["serial"],
-            changed_packages=list(quorum["changed"]),
-            sanitized=len(outcome.results),
-            rejected=outcome.rejected,
-            downloaded_bytes=outcome.downloaded_bytes,
-            quorum_elapsed=quorum_elapsed,
-            download_elapsed=outcome.download_elapsed,
-            sanitize_elapsed=outcome.sanitize_elapsed,
-            insecure_findings=outcome.catalog_info["insecure_findings"],
-            results=outcome.results,
-            wall_elapsed=quorum_elapsed + outcome.makespan,
-            pipelined=True,
-            mirror_assignments=outcome.mirror_assignments,
-            sanitized_early=outcome.sanitized_early,
-            evicted_redownloads=outcome.evicted_redownloads,
-            deduped_downloads=outcome.deduped_downloads,
-            deduped_download_bytes=outcome.deduped_download_bytes,
-        )
-
     def repo_config(self, repo_id: str) -> RepoConfig:
         """Resolved refresh configuration for one repository, cached.
 
         One enclave state export + policy parse + RTT sort per repository
-        instead of per refresh; the orchestrator and the single-repo
-        paths share the same resolution.
+        instead of per refresh; the orchestrator and the phased path
+        share the same resolution.
         """
         config = self._repo_configs.get(repo_id)
         if config is None:
@@ -579,36 +542,6 @@ class TrustedSoftwareRepository:
         raise NetworkError(
             f"package {name!r} unavailable from every policy mirror: {last_error}"
         )
-
-    def _download_parallel(self, mirrors: list[dict], names: list[str],
-                           expected: dict, width: int) -> dict[str, bytes]:
-        """Fetch packages in concurrent waves, round-robining mirrors.
-
-        Each wave issues up to ``width`` requests at once via the
-        transport's schedule-backed gather (the clock advances by the
-        slowest transfer of the wave, not the sum; concurrent payloads
-        share the host's downlink with exact max-min accounting).  Failed
-        or corrupt responses fall back to the verified sequential path.
-        """
-        ordered = self.mirrors_by_rtt(mirrors)
-        fetched: dict[str, bytes] = {}
-        pending = list(names)
-        while pending:
-            wave, pending = pending[:width], pending[width:]
-            requests = [
-                Request(ordered[i % len(ordered)]["hostname"], "get_package",
-                        payload=name)
-                for i, name in enumerate(wave)
-            ]
-            responses = self._network.gather(self.hostname, requests)
-            for name, response in zip(wave, responses):
-                want = expected[name]
-                if (not isinstance(response, NetworkError)
-                        and matches_expected(response.payload, want)):
-                    fetched[name] = response.payload
-                else:
-                    fetched[name] = self._download_package(mirrors, name, want)
-        return fetched
 
     # -- serving -----------------------------------------------------------------------------
 

@@ -165,11 +165,9 @@ class Scenario:
         return repo_id
 
     def refresh(self, pipelined: bool = False,
-                max_streams: int | None = None,
-                parallel_downloads: int = 1) -> RefreshReport:
+                max_streams: int | None = None) -> RefreshReport:
         self.refresh_report = self.tsr.refresh(
-            self.repo_id, parallel_downloads=parallel_downloads,
-            pipelined=pipelined, max_streams=max_streams,
+            self.repo_id, pipelined=pipelined, max_streams=max_streams,
         )
         return self.refresh_report
 
@@ -680,7 +678,6 @@ class FleetRefreshReport:
 def fleet_refresh(scenario: Scenario, clients: int = 8,
                   installs_per_client: int = 2,
                   update_fraction: float = 0.05,
-                  pipelined: bool = True,
                   seed: int = 11,
                   scheduled: bool = True,
                   client_downlink=None,
@@ -688,7 +685,7 @@ def fleet_refresh(scenario: Scenario, clients: int = 8,
     """Publish an update batch, refresh TSR, and drive a client fleet.
 
     The flow the north star cares about: upstream releases land, the
-    (pipelined) refresh engine re-sanitizes them, and ``clients`` nodes
+    pipelined refresh engine re-sanitizes them, and ``clients`` nodes
     update their indexes and install from the refreshed repository.  The
     report separates refresh latency from fan-out latency so benches can
     show where pipelining moves the needle.  The fleet machinery itself
@@ -741,7 +738,7 @@ def fleet_refresh(scenario: Scenario, clients: int = 8,
         scenario.sync_mirrors()
 
     start = scenario.clock.now()
-    report = scenario.refresh(pipelined=pipelined)
+    report = scenario.refresh(pipelined=True)
 
     installable = [
         name for name in report.changed_packages

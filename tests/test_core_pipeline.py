@@ -1,12 +1,15 @@
-"""Tests for the pipelined refresh engine and its supporting layers:
-parallel-transfer accounting (simnet), per-mirror bandwidth (mirrors),
-the sharded package cache, and the fleet_refresh scenario."""
+"""Tests for the pipelined refresh (``refresh(pipelined=True)``, a
+one-repository orchestrator plan) and its supporting layers: the mirror
+download scheduler, parallel-transfer accounting (simnet), per-mirror
+bandwidth (mirrors), the sharded package cache, and the fleet_refresh
+scenario."""
 
 import pytest
 
 from repro.archive.apk import ApkPackage, PackageFile
 from repro.archive.index import RepositoryIndex
 from repro.core.cache import PackageCache
+from repro.core.pipeline import MirrorDownloadScheduler
 from repro.core.service import SEALED_STATE_PATH
 from repro.mirrors.builder import MirrorSpec
 from repro.mirrors.mirror import MirrorBehavior
@@ -247,6 +250,20 @@ class TestPipelineEquivalence:
         parsed = ApkPackage.parse(blob)
         assert parsed.verify([pipelined.tsr_public_key])
 
+    def test_pipelined_refresh_records_sanitize_cost(self):
+        """A later re-sanitize of an evicted blob is charged the cost the
+        refresh measured, so the refresh must record one per package."""
+        _, pipelined = _two_scenarios()
+        tsr = pipelined.tsr
+        report = tsr.refresh(pipelined.repo_id, pipelined=True)
+        assert report.sanitized == 3
+        for result in report.results:
+            name = result.package.name
+            assert tsr._sanitize_cost[(pipelined.repo_id, name)] > 0.0
+            assert tsr._estimate_sanitize_cost(pipelined.repo_id, name,
+                                               1) > 0.0
+        assert tsr._sanitize_rate_bytes > 0
+
     def test_incremental_pipelined_refresh_uses_cache(self):
         _, scenario = _two_scenarios()
         scenario.tsr.refresh(scenario.repo_id, pipelined=True)
@@ -389,15 +406,18 @@ class TestPipelineFaultTolerance:
         scenario = build_scenario(packages=_mini_packages(),
                                   refresh=False, with_monitor=False)
         scenario.network.set_down("mirror-eu-2.example")
-        from repro.core.pipeline import RefreshPipeline
         tsr = scenario.tsr
         mirrors = tsr._policy_mirrors(scenario.repo_id)
         quorum = tsr._read_quorum(scenario.repo_id, mirrors)
-        pipeline = RefreshPipeline(tsr, scenario.repo_id, mirrors,
-                                   quorum["expected"])
+        ordered = tsr.mirrors_by_rtt(mirrors)
         names = list(quorum["changed"])
-        fetched, durations, finishes, assignments = \
-            pipeline._download_pipelined(names)
+        scheduler = MirrorDownloadScheduler(tsr)
+        batch = scheduler.add_batch(names, quorum["expected"], ordered,
+                                    fanout=ordered)
+        scheduler.resolve()
+        fetched, durations, finishes, assignments = (
+            batch.fetched, batch.durations, batch.finishes,
+            batch.assignments)
         timeout = scenario.network.timeout
         assert set(fetched) == set(names)
         assert "mirror-eu-2.example" not in set(assignments.values())
@@ -420,8 +440,7 @@ class TestFleetRefresh:
         workload = generate_workload(scale=0.004, seed=5, with_content=True)
         scenario = build_scenario(workload=workload, key_bits=1024,
                                   with_monitor=False)
-        fleet = fleet_refresh(scenario, clients=3, installs_per_client=1,
-                              pipelined=True)
+        fleet = fleet_refresh(scenario, clients=3, installs_per_client=1)
         assert fleet.clients == 3
         assert fleet.installs >= 1
         assert len(fleet.client_elapsed) == 3
