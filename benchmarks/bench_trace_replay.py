@@ -20,7 +20,6 @@ scan-resistant LRU-2 and compares the serving hit rate.  CI runs this
 emitting ``BENCH_trace_replay.json``.
 """
 
-import os
 import time
 
 from repro.archive.apk import ApkPackage, PackageFile
@@ -35,9 +34,9 @@ from repro.workload.scenario import (
     multi_tenant_refresh,
 )
 
-ROUNDS = int(os.environ.get("REPRO_TRACE_ROUNDS", "20"))
-TENANTS = int(os.environ.get("REPRO_TRACE_TENANTS", "4"))
-CLIENTS = int(os.environ.get("REPRO_TRACE_CLIENTS", "32"))
+ROUNDS = 20
+TENANTS = 4
+CLIENTS = 32
 INTERVAL = 0.4
 OVERLAP = 0.6
 PACKAGES = 16
@@ -250,19 +249,16 @@ def test_eviction_policy_ablation(benchmark, maybe_profile):
 #: purpose — the row isolates what *retention* costs (every pulled
 #: node's fs/IMA/TPM graph in materialized mode vs the active wave in
 #: streaming mode), not content volume.
-STREAM_CLIENTS = int(os.environ.get("REPRO_STREAM_CLIENTS", "1600"))
-STREAM_WAVE = int(os.environ.get("REPRO_STREAM_WAVE", "40"))
-STREAM_ROUNDS = int(os.environ.get("REPRO_STREAM_ROUNDS", "40"))
+STREAM_CLIENTS = 1600
+STREAM_WAVE = 40
+STREAM_ROUNDS = 40
 #: The acceptance bar: streaming holds >= 10x less peak memory than the
 #: materialized path on the same trace, with identical discrete results.
 STREAM_MEMORY_RATIO = 10.0
-#: Memory-regression cap for the streaming path itself (absolute, only
-#: asserted at the default scale knobs): measured ~5 MB peak, capped at
-#: 4x that so only a real O(active) regression trips it.
+#: Memory-regression cap for the streaming path itself (absolute):
+#: measured ~5 MB peak, capped at 4x that so only a real O(active)
+#: regression trips it.
 STREAM_PEAK_CAP_BYTES = 20_000_000
-
-_STREAM_DEFAULT_SCALE = (STREAM_CLIENTS, STREAM_WAVE, STREAM_ROUNDS) \
-    == (1600, 40, 40)
 
 
 def _stream_scenario():
@@ -377,9 +373,8 @@ def test_streaming_memory_scaling(benchmark, maybe_profile):
         f"streaming/materialized peak-memory ratio only {ratio:.2f}x "
         f"({peaks['interleaved']} / {peaks['streaming']} bytes)"
     )
-    if _STREAM_DEFAULT_SCALE:
-        # Memory regression guard on the streaming path itself.
-        assert peaks["streaming"] < STREAM_PEAK_CAP_BYTES, (
-            f"streaming peak {peaks['streaming']} bytes exceeds cap "
-            f"{STREAM_PEAK_CAP_BYTES}"
-        )
+    # Memory regression guard on the streaming path itself.
+    assert peaks["streaming"] < STREAM_PEAK_CAP_BYTES, (
+        f"streaming peak {peaks['streaming']} bytes exceeds cap "
+        f"{STREAM_PEAK_CAP_BYTES}"
+    )

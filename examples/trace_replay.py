@@ -8,7 +8,9 @@ replayed twice — serially (each step completes before the next starts)
 and as one plan-wide interleaved schedule — and the replay reports what
 neither a single-round bench can show: how long every client kept
 running an index older than the newest upstream publish, and how long
-each publish took to reach the fleet.
+each publish took to reach the fleet.  A third run streams the same
+plan-wide schedule (``mode="streaming"``): same timings, with the
+metrics folded online instead of kept per client.
 
 Run:  python examples/trace_replay.py
 """
@@ -61,7 +63,7 @@ def main():
           f"horizon {trace.horizon:.1f}s\n")
 
     reports = {}
-    for mode in ("serial", "interleaved"):
+    for mode in ("serial", "interleaved", "streaming"):
         scenario = build_multi_tenant_scenario(tenants=2, overlap=0.5,
                                                packages=population(),
                                                mirror_specs=MIRROR_SPECS)

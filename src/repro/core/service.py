@@ -13,6 +13,7 @@ is enabled.  EXPERIMENTS.md documents this split.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.core.cache import PackageCache
@@ -346,8 +347,13 @@ class TrustedSoftwareRepository:
         packages are still in flight.  The plan first drains any pending
         serving-induced re-sanitize jobs, as orchestrated rounds do.
         Verdicts and sanitized bytes are identical to the phased path;
-        only the schedule differs.
+        only the schedule differs.  ``max_streams`` without ``pipelined``
+        raises ``ValueError``: the phased path downloads one package at a
+        time and has no streams to cap.
         """
+        if max_streams is not None and not pipelined:
+            raise ValueError("max_streams caps the pipelined refresh's "
+                             "download streams; pass pipelined=True")
         if pipelined:
             from repro.core.orchestrator import RefreshOrchestrator
 
@@ -360,9 +366,8 @@ class TrustedSoftwareRepository:
             return report
 
         config = self.repo_config(repo_id)
-        policy_mirrors = list(config.mirrors)
         quorum_start = self._network.clock.now()
-        quorum = self._read_quorum(repo_id, policy_mirrors)
+        quorum = self._read_quorum(repo_id, list(config.mirrors))
         quorum_elapsed = self._network.clock.now() - quorum_start
 
         download_elapsed = 0.0
@@ -398,7 +403,7 @@ class TrustedSoftwareRepository:
 
         for name in to_download:
             start = self._network.clock.now()
-            blob = self._download_package(policy_mirrors, name,
+            blob = self._download_package(config.ordered_mirrors, name,
                                           quorum["expected"][name])
             download_elapsed += self._network.clock.now() - start
             downloaded += len(blob)
@@ -515,12 +520,12 @@ class TrustedSoftwareRepository:
             collected.append((mirror["hostname"], response.payload))
         return collected
 
-    def _download_package(self, mirrors: list[dict], name: str,
+    def _download_package(self, ordered: Sequence[dict], name: str,
                           expected: dict) -> bytes:
         """Packages come from any single mirror; the quorum-validated index
         pins their hash, so corrupt downloads are detected immediately and
-        retried on the next-fastest mirror."""
-        ordered = self.mirrors_by_rtt(mirrors)
+        retried on the next-fastest mirror.  ``ordered`` lists the mirrors
+        fastest-first (``RepoConfig.ordered_mirrors``)."""
         last_error: Exception | str | None = None
         for mirror in ordered:
             try:

@@ -10,41 +10,51 @@ deployment and measures what the paper leaves open: per-client
 publish) and end-to-end **update availability** latency, over dozens of
 rounds.
 
-Three composition modes:
+Three modes on two engines:
 
-* ``mode="serial"`` — today's composition: every event runs to completion
-  before the next may start (``multi_tenant_refresh()`` then a fleet
-  fan-out, repeated), with a barrier carrying the finish frontier across
-  events.  Rounds arriving faster than they drain pile up.
-* ``mode="interleaved"`` — the plan-wide timeline: *every* transfer of
-  the whole trace — quorum index reads, mirror package downloads, and
-  all clients' pull fetches — is a stream of **one**
+* ``mode="serial"`` — the ablation baseline, on its own engine: every
+  event runs to completion before the next may start
+  (``multi_tenant_refresh()`` then a fleet fan-out, repeated), each
+  refresh round and pull wave on a fresh schedule, with a barrier
+  carrying the finish frontier across events.  Rounds arriving faster
+  than they drain pile up.
+* ``mode="interleaved"`` and ``mode="streaming"`` — the plan engine: the
+  plan-wide timeline.  *Every* transfer of the whole trace — quorum
+  index reads, mirror package downloads, and all clients' pull fetches —
+  is a stream of **one**
   :class:`~repro.simnet.schedule.ParallelTransferSchedule` whose shared
   capacity models the TSR machine's NIC, refresh rounds extend one
   resumable :class:`~repro.core.orchestrator.RefreshPlanState` (shared
   mirror channels, enclave frontier, cache-shard frontiers, in-flight
   transfer table), and fleet waves are pinned at their trace instants via
   :class:`~repro.simnet.network.PlanFetchSession`.  Round k+1's quorum
-  widens while round k's fleet pulls still drain the uplink.
-* ``mode="streaming"`` — the interleaved timeline at O(active) memory:
-  the schedule runs as a :class:`~repro.simnet.schedule.ScheduleStream`
-  whose frontier advances to each event's instant, completions are
-  drained and folded into online metric aggregates the moment they
-  settle (no per-client transition lists, no per-round report list, no
-  plan timeline), the scheduler retires drained download keys, and —
-  when the trace rotates pull waves over a large fleet — each client's
-  node is torn down once its final wave drains.  Staleness uses a lazy
-  telescoping fold (per client: current serial + last landing instant;
-  each landing charges ``max(0, t' - max(t_last, P(s)))`` where ``P(s)``
-  is the first publish instant with a serial newer than ``s``), which
-  telescopes to exactly :func:`staleness_seconds`; availability uses a
-  per-client pointer into the publish list.  Percentiles come from
-  mergeable :class:`~repro.util.stats.QuantileSketch` aggregates plus
-  per-window scalar curves instead of an end-of-run pass over all
-  samples.  Timings are identical to ``interleaved`` — the stream
-  replays the very same solver on the very same enqueues — so installs,
-  served serials, and published bytes match bit-for-bit; only the
-  metric *representation* changes (sums exact up to float re-association,
+  widens while round k's fleet pulls still drain the uplink.  The
+  schedule runs as a :class:`~repro.simnet.schedule.ScheduleStream`
+  whose frontier advances to each event's instant; completions are
+  drained the moment they settle and the scheduler retires drained
+  download keys.  The two modes differ only in what they keep:
+
+  - ``interleaved`` materializes: an eager fleet that is never retired,
+    every client's :class:`ClientTimeline` of index landings, every
+    round's refresh report and the plan's enclave timeline, with
+    staleness and availability settled exactly
+    (:func:`staleness_seconds`, :func:`availability_latencies`).
+  - ``streaming`` holds O(active) memory: landings are folded into
+    online aggregates (no per-client transition lists, no per-round
+    report list, no plan timeline) and — when the trace rotates pull
+    waves over a large fleet — each client's node is torn down once its
+    final wave drains.  Staleness uses a lazy telescoping fold (per
+    client: current serial + last landing instant; each landing charges
+    ``max(0, t' - max(t_last, P(s)))`` where ``P(s)`` is the first
+    publish instant with a serial newer than ``s``), which telescopes to
+    exactly :func:`staleness_seconds`; availability uses a per-client
+    pointer into the publish list.  Percentiles come from mergeable
+    :class:`~repro.util.stats.QuantileSketch` aggregates plus per-window
+    scalar curves instead of an end-of-run pass over all samples.
+
+  Both run the very same solver on the very same enqueues, so installs,
+  served serials, and published bytes match bit-for-bit; only the metric
+  *representation* differs (sums exact up to float re-association,
   percentiles within the sketch's rank-error bound).
 
 Causality across in-flight rounds is kept by *versioned publications*
@@ -72,8 +82,10 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.core.orchestrator import (
     MultiTenantRefreshReport,
@@ -90,6 +102,9 @@ from repro.workload.generator import Trace, TraceEvent, evolve_packages
 from repro.workload.scenario import ClientFleet, Scenario, run_pull_wave
 
 REPLAY_MODES = ("interleaved", "serial", "streaming")
+#: Per-round refresh counters a streaming replay folds into totals.
+_ROUND_COUNTERS = ("prescans", "downloads_deduped", "evicted_redownloads",
+                   "downloaded_bytes")
 
 
 # -- staleness / availability metrics (pure, unit-testable) -------------------
@@ -383,19 +398,7 @@ class TraceReplayReport:
         return sum(r.downloaded_bytes for r in self.refresh_rounds)
 
 
-@dataclass
-class _WaveRecord:
-    """One fleet wave awaiting its final transfer timings."""
-
-    started_at: float
-    #: client name -> (schedule key of the index fetch, serial served).
-    index_marks: dict[str, tuple[object, int]]
-    #: client name -> schedule key of the wave's last fetch.
-    last_keys: dict[str, object]
-    schedule: ParallelTransferSchedule
-
-
-# -- the engine ---------------------------------------------------------------
+# -- the engines --------------------------------------------------------------
 
 
 def publish_event(scenario: Scenario, event: TraceEvent,
@@ -403,9 +406,9 @@ def publish_event(scenario: Scenario, event: TraceEvent,
     """Apply one ``publish`` event: evolve + publish an update batch.
 
     The batch is sampled by an RNG derived *only* from the trace seed and
-    the event seed — never from the replay's shared stream — so both
-    replay modes (and any external caller reproducing the trace, e.g. the
-    differential suite) publish byte-identical releases.
+    the event seed — never from the replay's shared stream — so every
+    replay mode (and any external caller reproducing the trace, e.g. the
+    differential suite) publishes byte-identical releases.
     """
     rng = random.Random(f"trace-publish:{trace_seed}:{event.seed}")
     batch = evolve_packages(scenario.population, event.fraction, rng)
@@ -415,12 +418,42 @@ def publish_event(scenario: Scenario, event: TraceEvent,
     return [package.name for package in batch]
 
 
+def _final_waves(trace: Trace, clients: int) -> array:
+    """Per client index, the ordinal of its last pull wave (-1: never).
+
+    One extra lazy pass over the trace; no events are retained.  Once a
+    client's final wave drains, a rotating fleet can tear its node down.
+    """
+    final = array("i", [-1]) * clients
+    final_all = -1
+    ordinal = 0
+    for event in trace.iter_events():
+        if event.kind != "fleet_pull":
+            continue
+        if event.clients is None:
+            final_all = ordinal
+        else:
+            for i in event.clients:
+                final[i] = ordinal
+        ordinal += 1
+    for i in range(clients):
+        final[i] = max(final[i], final_all)
+    return final
+
+
+def _timelines(fleet: ClientFleet) -> dict[str, ClientTimeline]:
+    """An empty timeline per booted client (none for a lazy fleet)."""
+    return {client.name: ClientTimeline(name=client.name,
+                                        repo_id=client.repo_id)
+            for client in fleet.clients}
+
+
 class TraceReplay:
     """Replays one :class:`Trace` against one deployment.
 
     The engine owns the plan timeline: the scenario clock is advanced
     exactly once, at the end, by the replay's wall-clock.  See the module
-    docstring for the two composition modes.
+    docstring for the three modes and their two engines.
     """
 
     def __init__(self, scenario: Scenario, trace: Trace, clients: int = 8,
@@ -446,13 +479,11 @@ class TraceReplay:
         self._tenants = list(tenants or scenario.tenants)
         #: The shared-NIC capacity every transfer of the plan contends
         #: for (half-duplex model: refresh downloads and client serving
-        #: share the TSR machine's one NIC in both modes).
+        #: share the TSR machine's one NIC in every mode).
         self._capacity = (
             link_bandwidth if link_bandwidth is not None
             else scenario.network.host(scenario.tsr.hostname).bandwidth
         )
-        self._interleaved = mode == "interleaved"
-        self._streaming = mode == "streaming"
         self._clients = clients
         self._client_downlink = client_downlink
         self._delta_updates = delta_updates
@@ -460,7 +491,7 @@ class TraceReplay:
         #: Forwarded to :class:`ClientFleet`: one memoized attestation
         #: keypair for the whole fleet instead of a prime search per
         #: client boot.  Replay metrics never read the attestation key,
-        #: so both modes produce identical reports either way — set it
+        #: so every mode produces identical reports either way — set it
         #: whenever the fleet is large.
         self._shared_tpm_seed = shared_tpm_seed
         #: Edge-replica serving tier (:class:`repro.core.replica.ReplicaTSR`
@@ -470,6 +501,11 @@ class TraceReplay:
         #: check that routes clients away from stale/frozen replicas.
         self._replicas = list(replicas) if replicas else []
         self._replica_refusals = 0
+        # Pull-wave tallies, accumulated by _pull_wave.
+        self._installs = 0
+        self._failed_pulls = 0
+        self._failed_installs = 0
+        self._pull_wire_bytes: list[int] = []
 
     # -- replica tier plumbing -------------------------------------------------
 
@@ -514,6 +550,8 @@ class TraceReplay:
                     break
         return refused
 
+    # -- event handling shared by both engines ------------------------------
+
     def _new_round_state(self) -> tuple[ParallelTransferSchedule,
                                         RefreshPlanState]:
         schedule = ParallelTransferSchedule(
@@ -523,34 +561,21 @@ class TraceReplay:
             channel_key=lambda hostname: ("dl", hostname)))
         return schedule, plan
 
-    def run(self) -> TraceReplayReport:
-        if self._streaming:
-            return self._run_streaming()
-        scenario = self._scenario
-        trace = self._trace
-        tsr = scenario.tsr
-
-        if self._interleaved:
-            schedule, plan = self._new_round_state()
-            self._link_replicas(schedule)
-            # One enclave memo window spans the whole plan: steady-state
-            # rounds replay unchanged blobs' analyses at their recorded
-            # costs instead of re-parsing them (host time only — every
-            # simulated duration and per-round counter is unchanged).
-            plan.persistent_enclave_memo = True
-            session = PlanFetchSession(scenario.network, schedule)
-        else:
-            schedule = plan = session = None
-        fleet = ClientFleet(
-            scenario, self._clients, name_prefix=f"replay-{trace.seed}",
+    def _fleet(self, session=None, lazy: bool = False) -> ClientFleet:
+        return ClientFleet(
+            self._scenario, self._clients,
+            name_prefix=f"replay-{self._trace.seed}",
             session=session, client_downlink=self._client_downlink,
             tenants=self._tenants, delta_updates=self._delta_updates,
-            shared_tpm_seed=self._shared_tpm_seed,
+            lazy=lazy, shared_tpm_seed=self._shared_tpm_seed,
             replicas=self._replicas,
         )
 
-        #: Baseline: the pre-trace population is "publish zero".
-        publishes: list[tuple[float, int]] = [(0.0, scenario.origin.serial)]
+    def _bootstrap(self, schedule=None) -> list[tuple[float, int]]:
+        """Publication zero: every tenant refreshed before the trace is
+        published at 0 and the replicas sync it.  Returns the publish
+        list, seeded with the pre-trace population as "publish zero"."""
+        tsr = self._scenario.tsr
         for repo_id in self._tenants:
             try:
                 tsr.get_index_bytes(repo_id)
@@ -558,168 +583,154 @@ class TraceReplay:
                 continue  # tenant not refreshed before the trace
             tsr.record_publication(repo_id, 0.0)
         self._sync_replicas(0.0, schedule=schedule)
+        return [(0.0, self._scenario.origin.serial)]
 
-        refresh_rounds: list[MultiTenantRefreshReport] = []
-        waves: list[_WaveRecord] = []
-        pull_wire_bytes: list[int] = []
-        installs = 0
-        failed_pulls = 0
-        failed_installs = 0
-        frontier = 0.0      # serial-mode barrier; last finish in both modes
-        try:
-            for event in trace.ordered():
-                start = (event.at if self._interleaved
-                         else max(event.at, frontier))
-                if event.kind == "publish":
-                    publish_event(scenario, event, trace.seed)
-                    publishes.append((event.at, scenario.origin.serial))
-                elif event.kind == "mirror_sync":
-                    targets = (event.mirrors if event.mirrors is not None
-                               else list(scenario.mirrors))
-                    for name in targets:
-                        scenario.mirrors[name].sync()
-                elif event.kind == "refresh":
-                    repo_ids = list(event.tenants or self._tenants)
-                    if self._interleaved:
-                        round_plan = plan
-                    else:
-                        _, round_plan = self._new_round_state()
-                    report = RefreshOrchestrator(
-                        tsr, repo_ids, max_streams=self._max_streams,
-                        origin=start, plan_state=round_plan,
-                        advance_clock=False,
-                    ).run()
-                    refresh_rounds.append(report)
-                    for repo_id in repo_ids:
-                        tsr.record_publication(repo_id, report.finished_at)
-                    self._sync_replicas(report.finished_at, repo_ids,
-                                        schedule=schedule)
-                    frontier = max(frontier, report.finished_at)
-                elif event.kind == "fleet_pull":
-                    clients = (fleet.clients if event.clients is None
-                               else fleet.subset(event.clients))
-                    if self._interleaved:
-                        wave_schedule, wave_session = schedule, session
-                    else:
-                        wave_schedule = ParallelTransferSchedule(
-                            downlink_bandwidth=self._capacity)
-                        self._link_replicas(wave_schedule)
-                        wave_session = PlanFetchSession(scenario.network,
-                                                        wave_schedule)
-                        fleet.use_session(wave_session)
-                    fleet.set_as_of(start)
-                    if self._replicas:
-                        self._heartbeat_replicas(
-                            start, schedule=wave_schedule)
-                        fleet.set_replica_refusals(
-                            self._freshness_refusals(start))
-                    wave_session.begin_wave(start)
-                    # Event-local RNG (like publish batches): a wave's
-                    # install choices depend on the trace seed and the
-                    # event's own seed, never on ambient state or other
-                    # waves' draws.
-                    wave_rng = random.Random(
-                        f"trace-pull:{trace.seed}:{event.seed}:{event.at}")
-                    wire_before = wave_session.total_wire_bytes
-                    outcome = run_pull_wave(
-                        clients, wave_rng, event.installs_per_client,
-                        plan_session=wave_session, tolerate_failures=True,
-                    )
-                    pull_wire_bytes.append(
-                        wave_session.total_wire_bytes - wire_before)
-                    installs += outcome.installs
-                    failed_pulls += outcome.failed_pulls
-                    failed_installs += outcome.failed_installs
-                    record = _WaveRecord(
-                        started_at=start,
-                        index_marks={
-                            name: (outcome.index_keys.get(name), serial)
-                            for name, serial in outcome.served_serial.items()
-                        },
-                        last_keys=dict(outcome.last_keys),
-                        schedule=wave_schedule,
-                    )
-                    waves.append(record)
-                    if not self._interleaved:
-                        timings = wave_schedule.solve()
-                        wave_end = max(
-                            (timings[key].finish
-                             for key in record.last_keys.values()
-                             if key is not None),
-                            default=start,
-                        )
-                        frontier = max(frontier, wave_end, start)
-        finally:
-            if self._interleaved and refresh_rounds:
-                # The rounds kept one persistent memo window open; close
-                # it so later standalone refreshes start cold.
-                tsr._enclave.ecall("end_shared_refresh")
+    def _upstream(self, event: TraceEvent,
+                  publishes: list[tuple[float, int]]):
+        """A ``publish`` or ``mirror_sync`` event (instantaneous)."""
+        scenario = self._scenario
+        if event.kind == "publish":
+            publish_event(scenario, event, self._trace.seed)
+            publishes.append((event.at, scenario.origin.serial))
+        elif event.kind == "mirror_sync":
+            targets = (event.mirrors if event.mirrors is not None
+                       else list(scenario.mirrors))
+            for name in targets:
+                scenario.mirrors[name].sync()
 
-        # Resolve the plan: one final solve fixes every wave's timings
-        # (monotonicity means mid-flight pins stayed valid lower bounds).
-        timelines = {
-            client.name: ClientTimeline(name=client.name,
-                                        repo_id=client.repo_id)
-            for client in fleet.clients
-        }
-        wall = frontier
-        pull_latency = QuantileSketch()
-        solved: dict[int, dict] = {}
-        for record in waves:
-            key_id = id(record.schedule)
-            if key_id not in solved:
-                solved[key_id] = record.schedule.solve()
-            timings = solved[key_id]
-            for name, (index_key, serial) in record.index_marks.items():
-                landed = (timings[index_key].finish
-                          if index_key is not None else record.started_at)
-                timelines[name].transitions.append((landed, serial))
-            for key in record.last_keys.values():
-                if key is not None:
-                    finish = timings[key].finish
-                    wall = max(wall, finish)
-                    if finish >= record.started_at:
-                        # Keys older than the wave (a failed pull echoing
-                        # its previous fetch) are not this wave's latency.
-                        pull_latency.add(finish - record.started_at)
-        if self._interleaved and schedule is not None:
-            timings = schedule.solve()
-            wall = max([wall, plan.enclave_free,
-                        *plan.shard_free.values(),
-                        *(t.finish for t in timings.values())])
+    def _refresh_round(self, event: TraceEvent, start: float,
+                       plan: RefreshPlanState,
+                       schedule=None) -> MultiTenantRefreshReport:
+        """One orchestrated refresh round, published at its finish."""
+        tsr = self._scenario.tsr
+        repo_ids = list(event.tenants or self._tenants)
+        report = RefreshOrchestrator(
+            tsr, repo_ids, max_streams=self._max_streams,
+            origin=start, plan_state=plan, advance_clock=False,
+        ).run()
+        for repo_id in repo_ids:
+            tsr.record_publication(repo_id, report.finished_at)
+        self._sync_replicas(report.finished_at, repo_ids, schedule=schedule)
+        return report
 
-        horizon = max(trace.horizon, wall)
+    def _pull_wave(self, fleet: ClientFleet, clients: list,
+                   event: TraceEvent, start: float,
+                   session: PlanFetchSession,
+                   schedule: ParallelTransferSchedule):
+        """Issue one pull wave at ``start`` and tally its outcome."""
+        fleet.set_as_of(start)
+        if self._replicas:
+            self._heartbeat_replicas(start, schedule=schedule)
+            fleet.set_replica_refusals(self._freshness_refusals(start))
+        session.begin_wave(start)
+        # Event-local RNG (like publish batches): a wave's install choices
+        # depend on the trace seed and the event's own seed, never on
+        # ambient state or other waves' draws.
+        wave_rng = random.Random(
+            f"trace-pull:{self._trace.seed}:{event.seed}:{event.at}")
+        wire_before = session.total_wire_bytes
+        outcome = run_pull_wave(
+            clients, wave_rng, event.installs_per_client,
+            plan_session=session, tolerate_failures=True,
+        )
+        self._pull_wire_bytes.append(session.total_wire_bytes - wire_before)
+        self._installs += outcome.installs
+        self._failed_pulls += outcome.failed_pulls
+        self._failed_installs += outcome.failed_installs
+        return outcome
+
+    def _report(self, fleet: ClientFleet, wall: float, horizon: float,
+                publishes: list[tuple[float, int]], rounds: int,
+                refresh_rounds: list[MultiTenantRefreshReport],
+                timelines: dict[str, ClientTimeline],
+                pull_latency: QuantileSketch,
+                streaming: StreamingReplaySummary | None = None,
+                ) -> TraceReplayReport:
+        """Advance the clock by the replay's wall and build its report;
+        materialized timelines are settled with the exact metrics."""
         for timeline in timelines.values():
             timeline.transitions.sort()
             timeline.staleness = staleness_seconds(
                 publishes, timeline.transitions, horizon)
             timeline.availability = availability_latencies(
                 publishes, timeline.transitions)
-
-        scenario.clock.advance(wall)
+        self._scenario.clock.advance(wall)
         return TraceReplayReport(
             mode=self._mode,
-            rounds=len(refresh_rounds),
+            rounds=rounds,
             clients=fleet.size,
             wall_elapsed=wall,
             horizon=horizon,
-            installs=installs,
-            failed_pulls=failed_pulls,
-            failed_installs=failed_installs,
+            installs=self._installs,
+            failed_pulls=self._failed_pulls,
+            failed_installs=self._failed_installs,
             publishes=publishes,
             refresh_rounds=refresh_rounds,
             timelines=timelines,
             delta_updates=self._delta_updates,
-            pull_wire_bytes=pull_wire_bytes,
+            pull_wire_bytes=self._pull_wire_bytes,
             delta_stats=fleet.delta_stats().as_dict(),
+            streaming=streaming,
             pull_latency=pull_latency,
             replicas=len(self._replicas),
             replica_refusals=self._replica_refusals,
             replica_sync_bytes=sum(r.sync_bytes for r in self._replicas),
         )
 
+    def run(self) -> TraceReplayReport:
+        if self._mode == "serial":
+            return self._run_serial()
+        return self._run_plan()
 
-    # -- streaming mode -------------------------------------------------------
+    # -- serial mode: the ablation baseline ---------------------------------
+
+    def _run_serial(self) -> TraceReplayReport:
+        """Every event runs to completion before the next may start: each
+        refresh round and each pull wave gets a fresh schedule, solved as
+        soon as the wave is issued, and a barrier carries the finish
+        frontier to the next event."""
+        scenario = self._scenario
+        fleet = self._fleet()
+        publishes = self._bootstrap()
+        timelines = _timelines(fleet)
+        refresh_rounds: list[MultiTenantRefreshReport] = []
+        pull_latency = QuantileSketch()
+        frontier = 0.0  # the barrier: last finish of any event so far
+        for event in self._trace.iter_events():
+            start = max(event.at, frontier)
+            if event.kind == "refresh":
+                _, plan = self._new_round_state()
+                report = self._refresh_round(event, start, plan)
+                refresh_rounds.append(report)
+                frontier = max(frontier, report.finished_at)
+            elif event.kind == "fleet_pull":
+                clients = (fleet.clients if event.clients is None
+                           else fleet.subset(event.clients))
+                schedule = ParallelTransferSchedule(
+                    downlink_bandwidth=self._capacity)
+                self._link_replicas(schedule)
+                session = PlanFetchSession(scenario.network, schedule)
+                fleet.use_session(session)
+                outcome = self._pull_wave(fleet, clients, event, start,
+                                          session, schedule)
+                timings = schedule.solve()
+                for name, serial in outcome.served_serial.items():
+                    key = outcome.index_keys.get(name)
+                    landed = timings[key].finish if key is not None else start
+                    timelines[name].transitions.append((landed, serial))
+                frontier = max(frontier, start)
+                for key in outcome.last_keys.values():
+                    finish = timings[key].finish
+                    frontier = max(frontier, finish)
+                    if finish >= start:
+                        pull_latency.add(finish - start)
+            else:
+                self._upstream(event, publishes)
+        return self._report(
+            fleet, frontier, max(self._trace.horizon, frontier), publishes,
+            len(refresh_rounds), refresh_rounds, timelines, pull_latency)
+
+    # -- the plan engine: interleaved and streaming -------------------------
 
     def _stale_window_width(self) -> float:
         """Window width for the time-resolved folds (default: the trace's
@@ -735,62 +746,53 @@ class TraceReplay:
         width = self._trace.horizon / max(1, self._trace.rounds())
         return width if width > 0 else 1.0
 
-    def _run_streaming(self) -> TraceReplayReport:
+    def _run_plan(self) -> TraceReplayReport:
+        """One :class:`ScheduleStream` carries every transfer of the trace.
+
+        ``streaming`` folds index landings into online aggregates and
+        retires clients after their final wave; ``interleaved`` boots an
+        eager fleet, keeps every client's timeline and every round's
+        report, and settles the exact metrics at the end.
+        """
         scenario = self._scenario
         trace = self._trace
         tsr = scenario.tsr
-        window = self._stale_window_width()
+        materialize = self._mode == "interleaved"
 
         schedule, plan = self._new_round_state()
         self._link_replicas(schedule)  # before the stream freezes links
+        # One enclave memo window spans the whole plan: steady-state
+        # rounds replay unchanged blobs' analyses at their recorded costs
+        # instead of re-parsing them (host time only — every simulated
+        # duration and per-round counter is unchanged).
         plan.persistent_enclave_memo = True
-        plan.keep_timeline = False  # nothing streaming reads it; O(trace)
+        # The concatenated enclave timeline grows O(trace).
+        plan.keep_timeline = materialize
         scheduler = plan.scheduler
         stream = schedule.stream(0.0)
         session = PlanFetchSession(scenario.network, schedule)
-        fleet = ClientFleet(
-            scenario, self._clients, name_prefix=f"replay-{trace.seed}",
-            session=session, client_downlink=self._client_downlink,
-            tenants=self._tenants, delta_updates=self._delta_updates,
-            lazy=True, shared_tpm_seed=self._shared_tpm_seed,
-            replicas=self._replicas,
-        )
+        fleet = self._fleet(session, lazy=not materialize)
+        final_wave = None if materialize else _final_waves(trace, fleet.size)
+        publishes = self._bootstrap(schedule)
 
-        # Pre-scan the trace for each client's *final* pull wave (cheap:
-        # one extra lazy generation pass, no events retained).  Once that
-        # wave's last fetch drains, the client's node can be torn down.
-        final_wave: dict[int, int] = {}
-        final_all = -1
-        wave_total = 0
-        for ev in trace.iter_events():
-            if ev.kind != "fleet_pull":
-                continue
-            if ev.clients is None:
-                final_all = wave_total
-            else:
-                for i in ev.clients:
-                    final_wave[i] = wave_total
-            wave_total += 1
-
-        #: Baseline: the pre-trace population is "publish zero".
-        publishes: list[tuple[float, int]] = [(0.0, scenario.origin.serial)]
-        pub_serials: list[int] = [scenario.origin.serial]
-        for repo_id in self._tenants:
-            try:
-                tsr.get_index_bytes(repo_id)
-            except PolicyError:
-                continue  # tenant not refreshed before the trace
-            tsr.record_publication(repo_id, 0.0)
-        self._sync_replicas(0.0, schedule=schedule)
-
-        # -- online metric folds (the whole point: no transition lists) --
-        #: client name -> [serial, last landing, publish pointer, staleness].
-        cstate: dict[str, list] = {}
-        stale_sketch = QuantileSketch()
-        avail_sketch = QuantileSketch()
+        refresh_rounds: list[MultiTenantRefreshReport] = []
+        timelines = _timelines(fleet)
+        refresh_totals = dict.fromkeys(("rounds", *_ROUND_COUNTERS), 0)
         pull_latency = QuantileSketch()
+
+        # -- online metric folds, in flat per-client-index columns -------
+        window = self._stale_window_width()
+        clients = fleet.size
+        seen = bytearray(clients)
+        c_serial = array("q", [0]) * clients
+        c_landed = array("d", [0.0]) * clients
+        c_ptr = array("i", [0]) * clients
+        c_stale = array("d", [0.0]) * clients
+        #: Client indices in first-landing order (the close-out order).
+        order = array("i")
         window_stale: list[float] = []
         window_avail: list[list[float]] = []
+        avail_sketch = QuantileSketch()
         avail_sum = 0.0
         avail_count = 0
         avail_max = 0.0
@@ -798,7 +800,7 @@ class TraceReplay:
         def first_newer(serial: int) -> float:
             """Instant of the first publish strictly newer than ``serial``
             (inf: the client is caught up with everything published)."""
-            i = bisect_right(pub_serials, serial)
+            i = bisect_right(publishes, serial, key=itemgetter(1))
             return publishes[i][0] if i < len(publishes) else math.inf
 
         def charge_windows(a: float, b: float):
@@ -813,25 +815,25 @@ class TraceReplay:
                 a = edge
                 i += 1
 
-        def fold_transition(name: str, landed: float, serial: int):
+        def fold(index: int, name: str, landed: float, serial: int):
             """One index landing: close the stale interval it ends (the
             telescoping sum of these equals :func:`staleness_seconds`
             exactly) and consume newly caught-up publishes."""
             nonlocal avail_sum, avail_count, avail_max
-            state = cstate.get(name)
-            if state is None:
-                state = cstate[name] = [serial, landed, 0, 0.0]
-                ptr = 0
-            else:
-                old_serial, t_last, ptr, total = state
-                stale_from = max(t_last, first_newer(old_serial))
+            if seen[index]:
+                stale_from = max(c_landed[index],
+                                 first_newer(c_serial[index]))
                 if landed > stale_from:
-                    total += landed - stale_from
+                    c_stale[index] += landed - stale_from
                     charge_windows(stale_from, landed)
-                state[0] = serial
-                state[1] = landed
-                state[3] = total
-            while ptr < len(publishes) and pub_serials[ptr] <= serial:
+                ptr = c_ptr[index]
+            else:
+                seen[index] = 1
+                order.append(index)
+                ptr = 0
+            c_serial[index] = serial
+            c_landed[index] = landed
+            while ptr < len(publishes) and publishes[ptr][1] <= serial:
                 sample = landed - publishes[ptr][0]
                 avail_sum += sample
                 avail_count += 1
@@ -847,15 +849,21 @@ class TraceReplay:
                 if sample > cell[2]:
                     cell[2] = sample
                 ptr += 1
-            state[2] = ptr
+            c_ptr[index] = ptr
+
+        def record(index: int, name: str, landed: float, serial: int):
+            timelines[name].transitions.append((landed, serial))
+
+        land = record if materialize else fold
 
         # -- drained-key actions + retirement countdown ------------------
-        mark_of: dict[object, tuple[str, int]] = {}
-        #: last schedule key -> (client name, client index, wave start).
-        last_of: dict[object, tuple[str, int, float]] = {}
+        #: index-fetch key -> (client name, client index, serial served).
+        mark_of: dict[object, tuple[str, int, int]] = {}
+        #: last schedule key -> (client index, wave start).
+        last_of: dict[object, tuple[int, float]] = {}
         pending_last: dict[int, int] = {}
         last_registered: dict[int, object] = {}
-        final_issued: set[int] = set()
+        final_issued = bytearray(clients)
         peak_live = 0
         peak_pending = 0
 
@@ -864,123 +872,78 @@ class TraceReplay:
             last_registered.pop(index, None)
             fleet.retire(index, plan_session=session)
 
-        def absorb(drained: dict):
+        def note_peaks():
             nonlocal peak_live, peak_pending
+            peak_live = max(peak_live, stream.live_channels)
+            peak_pending = max(peak_pending, stream.pending_items)
+
+        def absorb(drained: dict):
             if drained:
                 scheduler.retire_settled(drained)
                 for key, timing in drained.items():
                     mark = mark_of.pop(key, None)
                     if mark is not None:
-                        fold_transition(mark[0], timing.finish, mark[1])
+                        land(mark[1], mark[0], timing.finish, mark[2])
                     last = last_of.pop(key, None)
                     if last is not None:
-                        pull_latency.add(timing.finish - last[2])
-                        index = last[1]
+                        index, started = last
+                        pull_latency.add(timing.finish - started)
                         pending_last[index] -= 1
-                        if not pending_last[index] and index in final_issued:
+                        if not pending_last[index] and final_issued[index]:
                             retire(index)
-            live = stream.live_channels
-            if live > peak_live:
-                peak_live = live
-            pending = stream.pending_items
-            if pending > peak_pending:
-                peak_pending = pending
+            note_peaks()
 
-        refresh_totals = {
-            "rounds": 0, "prescans": 0, "downloads_deduped": 0,
-            "evicted_redownloads": 0, "downloaded_bytes": 0,
-        }
-        pull_wire_bytes: list[int] = []
-        installs = 0
-        failed_pulls = 0
-        failed_installs = 0
+        refresh_end = 0.0  # the latest refresh round's finish
         wave_ordinal = 0
-
         try:
             for event in trace.iter_events():
                 stream.advance_to(event.at)
                 absorb(stream.drain())
                 start = event.at
-                if event.kind == "publish":
-                    publish_event(scenario, event, trace.seed)
-                    publishes.append((event.at, scenario.origin.serial))
-                    pub_serials.append(scenario.origin.serial)
-                elif event.kind == "mirror_sync":
-                    targets = (event.mirrors if event.mirrors is not None
-                               else list(scenario.mirrors))
-                    for name in targets:
-                        scenario.mirrors[name].sync()
-                elif event.kind == "refresh":
-                    repo_ids = list(event.tenants or self._tenants)
-                    report = RefreshOrchestrator(
-                        tsr, repo_ids, max_streams=self._max_streams,
-                        origin=start, plan_state=plan,
-                        advance_clock=False,
-                    ).run()
+                if event.kind == "refresh":
+                    report = self._refresh_round(event, start, plan,
+                                                 schedule)
+                    if materialize:
+                        refresh_rounds.append(report)
                     refresh_totals["rounds"] += 1
-                    refresh_totals["prescans"] += report.prescans
-                    refresh_totals["downloads_deduped"] += \
-                        report.downloads_deduped
-                    refresh_totals["evicted_redownloads"] += \
-                        report.evicted_redownloads
-                    refresh_totals["downloaded_bytes"] += \
-                        report.downloaded_bytes
-                    for repo_id in repo_ids:
-                        tsr.record_publication(repo_id, report.finished_at)
-                    self._sync_replicas(report.finished_at, repo_ids,
-                                        schedule=schedule)
+                    for counter in _ROUND_COUNTERS:
+                        refresh_totals[counter] += getattr(report, counter)
+                    refresh_end = max(refresh_end, report.finished_at)
                 elif event.kind == "fleet_pull":
-                    indices = (range(fleet.size) if event.clients is None
+                    indices = (range(clients) if event.clients is None
                                else event.clients)
-                    clients = fleet.subset(indices)
-                    fleet.set_as_of(start)
-                    if self._replicas:
-                        self._heartbeat_replicas(start, schedule=schedule)
-                        fleet.set_replica_refusals(
-                            self._freshness_refusals(start))
-                    session.begin_wave(start)
-                    wave_rng = random.Random(
-                        f"trace-pull:{trace.seed}:{event.seed}:{event.at}")
-                    wire_before = session.total_wire_bytes
-                    outcome = run_pull_wave(
-                        clients, wave_rng, event.installs_per_client,
-                        plan_session=session, tolerate_failures=True,
-                    )
-                    pull_wire_bytes.append(
-                        session.total_wire_bytes - wire_before)
-                    installs += outcome.installs
-                    failed_pulls += outcome.failed_pulls
-                    failed_installs += outcome.failed_installs
+                    wave = fleet.subset(indices)
+                    outcome = self._pull_wave(fleet, wave, event, start,
+                                              session, schedule)
+                    index_of = {client.name: i
+                                for i, client in zip(indices, wave)}
                     for name, serial in outcome.served_serial.items():
                         key = outcome.index_keys.get(name)
                         if key is None:
                             # No fetch was scheduled (e.g. answered from
                             # local state): the index lands at wave start.
-                            fold_transition(name, start, serial)
+                            land(index_of[name], name, start, serial)
                         else:
-                            mark_of[key] = (name, serial)
-                    name_to_index = {client.name: i
-                                     for i, client in zip(indices, clients)}
+                            mark_of[key] = (name, index_of[name], serial)
                     for name, key in outcome.last_keys.items():
-                        index = name_to_index[name]
+                        index = index_of[name]
                         # A failed pull can report a *previous* wave's key
                         # (possibly already drained): never re-register it.
-                        if key is None or key == last_registered.get(index):
+                        if key == last_registered.get(index):
                             continue
                         last_registered[index] = key
-                        last_of[key] = (name, index, start)
+                        last_of[key] = (index, start)
                         pending_last[index] = pending_last.get(index, 0) + 1
-                    for index in indices:
-                        if wave_ordinal == max(final_wave.get(index, -1),
-                                               final_all):
-                            final_issued.add(index)
-                            if not pending_last.get(index):
-                                retire(index)
+                    if final_wave is not None:
+                        for index in indices:
+                            if final_wave[index] == wave_ordinal:
+                                final_issued[index] = 1
+                                if not pending_last.get(index):
+                                    retire(index)
                     wave_ordinal += 1
-                    if stream.live_channels > peak_live:
-                        peak_live = stream.live_channels
-                    if stream.pending_items > peak_pending:
-                        peak_pending = stream.pending_items
+                    note_peaks()
+                else:
+                    self._upstream(event, publishes)
         finally:
             if refresh_totals["rounds"]:
                 # The rounds kept one persistent memo window open; close
@@ -990,40 +953,39 @@ class TraceReplay:
         # Resolve the tail: everything still pending finishes untouched by
         # any future load, so one O(active) clone solve fixes it.
         final_timings = stream.solve_pending()
-        tail = []
-        for key, (name, serial) in mark_of.items():
-            tail.append((final_timings[key].finish, name, serial))
-        tail.sort()
-        for finish, name, serial in tail:
-            fold_transition(name, finish, serial)
-        for key, last in last_of.items():
+        for finish, name, index, serial in sorted(
+                (final_timings[key].finish, name, index, serial)
+                for key, (name, index, serial) in mark_of.items()):
+            land(index, name, finish, serial)
+        for key, (index, started) in last_of.items():
             timing = final_timings.get(key)
             if timing is not None:
-                pull_latency.add(timing.finish - last[2])
-        wall = stream.max_finish
-        for timing in final_timings.values():
-            if timing.finish > wall:
-                wall = timing.finish
-        wall = max([wall, plan.enclave_free, *plan.shard_free.values()])
+                pull_latency.add(timing.finish - started)
+        wall = max([stream.max_finish, refresh_end, plan.enclave_free,
+                    *plan.shard_free.values(),
+                    *(timing.finish for timing in final_timings.values())])
+        horizon = max(trace.horizon, wall)
+        if materialize:
+            return self._report(
+                fleet, wall, horizon, publishes, refresh_totals["rounds"],
+                refresh_rounds, timelines, pull_latency)
 
         # Horizon close-out: charge each client's still-open stale tail.
-        horizon = max(trace.horizon, wall)
+        stale_sketch = QuantileSketch()
         stale_sum = 0.0
         stale_max = 0.0
-        for name, (serial, t_last, _ptr, total) in cstate.items():
-            open_from = max(t_last, first_newer(serial))
+        for index in order:
+            total = c_stale[index]
+            open_from = max(c_landed[index], first_newer(c_serial[index]))
             if horizon > open_from:
                 total += horizon - open_from
                 charge_windows(open_from, horizon)
             stale_sum += total
-            if total > stale_max:
-                stale_max = total
+            stale_max = max(stale_max, total)
             stale_sketch.add(total)
-        never_pulled = fleet.size - len(cstate)
+        never_pulled = clients - len(order)
         if never_pulled:
             stale_sketch.add(0.0, weight=float(never_pulled))
-
-        scenario.clock.advance(wall)
         summary = StreamingReplaySummary(
             staleness_sum=stale_sum,
             staleness_max=stale_max,
@@ -1041,27 +1003,9 @@ class TraceReplay:
             peak_pending_items=peak_pending,
             final_stream_stats=stream.stats(),
         )
-        return TraceReplayReport(
-            mode=self._mode,
-            rounds=refresh_totals["rounds"],
-            clients=fleet.size,
-            wall_elapsed=wall,
-            horizon=horizon,
-            installs=installs,
-            failed_pulls=failed_pulls,
-            failed_installs=failed_installs,
-            publishes=publishes,
-            refresh_rounds=[],
-            timelines={},
-            delta_updates=self._delta_updates,
-            pull_wire_bytes=pull_wire_bytes,
-            delta_stats=fleet.delta_stats().as_dict(),
-            streaming=summary,
-            pull_latency=pull_latency,
-            replicas=len(self._replicas),
-            replica_refusals=self._replica_refusals,
-            replica_sync_bytes=sum(r.sync_bytes for r in self._replicas),
-        )
+        return self._report(fleet, wall, horizon, publishes,
+                            refresh_totals["rounds"], [], {}, pull_latency,
+                            summary)
 
 
 def replay_trace(scenario: Scenario, trace: Trace, clients: int = 8,

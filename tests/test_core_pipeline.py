@@ -282,11 +282,24 @@ class TestPipelineEquivalence:
         tsr = scenario.tsr
         mirrors = tsr._policy_mirrors(scenario.repo_id)
         quorum = tsr._read_quorum(scenario.repo_id, mirrors)
-        blob = tsr._download_package(mirrors, "nginx",
+        blob = tsr._download_package(tsr.mirrors_by_rtt(mirrors), "nginx",
                                      quorum["expected"]["nginx"])
         with pytest.raises(PolicyError):
             tsr._enclave.ecall("sanitize_package_precatalog",
                                scenario.repo_id, blob)
+
+    def test_phased_refresh_sorts_mirrors_once(self, monkeypatch):
+        # The RTT order is resolved once per repository (RepoConfig), not
+        # re-sorted for every package download.
+        scenario, _ = _two_scenarios()
+        tsr = scenario.tsr
+        sort = tsr.mirrors_by_rtt
+        calls = []
+        monkeypatch.setattr(tsr, "mirrors_by_rtt",
+                            lambda mirrors: calls.append(1) or sort(mirrors))
+        report = tsr.refresh(scenario.repo_id)
+        assert len(report.changed_packages) > 1
+        assert len(calls) <= 1
 
 
 # -- pipelined refresh: schedule properties ------------------------------------

@@ -7,7 +7,12 @@ from repro.archive.apk import ApkPackage, PackageFile
 from repro.mirrors.builder import MirrorSpec
 from repro.mirrors.mirror import MirrorBehavior
 from repro.simnet.latency import Continent
-from repro.util.errors import NetworkError, QuorumError, RollbackError
+from repro.util.errors import (
+    NetworkError,
+    PolicyError,
+    QuorumError,
+    RollbackError,
+)
 from repro.workload.scenario import build_scenario
 
 
@@ -127,6 +132,20 @@ class TestPipelinedDownload:
         with pytest.raises(ValueError):
             scenario.tsr.refresh(scenario.repo_id, pipelined=True,
                                  max_streams=0)
+
+    @pytest.mark.parametrize("max_streams", [0, 2])
+    def test_stream_cap_requires_pipelined(self, max_streams):
+        # The phased path downloads one package at a time: a stream cap
+        # there is a caller error, not a silently ignored knob.
+        scenario = build_scenario(packages=_packages(), key_bits=1024,
+                                  refresh=False, with_monitor=False)
+        with pytest.raises(ValueError, match="pipelined"):
+            scenario.tsr.refresh(scenario.repo_id, max_streams=max_streams)
+        with pytest.raises(ValueError, match="pipelined"):
+            scenario.refresh(max_streams=max_streams)
+        # Nothing ran: the repository still has no sanitized index.
+        with pytest.raises(PolicyError):
+            scenario.tsr.get_index_bytes(scenario.repo_id)
 
 
 class TestTsrLifecycle:
